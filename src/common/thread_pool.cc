@@ -42,21 +42,17 @@ void ThreadPool::ParallelFor(size_t total, size_t grain,
   grain = std::max<size_t>(1, grain);
   const size_t max_shards = (total + grain - 1) / grain;
   const size_t num_shards = std::min(max_shards, num_threads());
-  if (num_shards <= 1) {
-    fn(0, total);
-    return;
-  }
   const size_t shard_size = (total + num_shards - 1) / num_shards;
+  const size_t last = (total - 1) / shard_size;  // final non-empty shard
   std::vector<std::future<void>> futures;
-  futures.reserve(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
+  futures.reserve(last);
+  for (size_t shard = 0; shard < last; ++shard) {
     const size_t begin = shard * shard_size;
-    const size_t end = std::min(total, begin + shard_size);
-    if (begin >= end) {
-      break;
-    }
-    futures.push_back(Submit([&fn, begin, end] { fn(begin, end); }));
+    futures.push_back(
+        Submit([&fn, begin, shard_size] { fn(begin, begin + shard_size); }));
   }
+  // The caller runs the last shard itself instead of idling on the futures.
+  fn(last * shard_size, total);
   for (auto& future : futures) {
     future.wait();
   }

@@ -27,7 +27,8 @@ class ThreadPool {
   std::future<void> Submit(std::function<void()> task);
 
   // Runs fn(begin, end) shards of [0, total) across the pool and blocks until
-  // all shards complete. Grain controls the minimum shard size.
+  // all shards complete. Grain controls the minimum shard size. The calling
+  // thread runs the last shard itself, so a single shard never leaves it.
   void ParallelFor(size_t total, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 

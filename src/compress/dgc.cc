@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <future>
+#include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "src/common/buffer_pool.h"
 #include "src/common/thread_pool.h"
+#include "src/compress/simd_kernels.h"
 #include "src/compress/sparse_format.h"
 
 namespace hipress {
@@ -15,22 +16,28 @@ namespace {
 
 // Below this size exact selection is cheaper than sampling + fixup.
 constexpr size_t kExactSelectionLimit = 1 << 16;
+// Scan shard grain; smaller gradients are scanned on the calling thread.
+constexpr size_t kScanGrain = 256 * 1024;
 
-// Exact top-k: returns the k-th largest magnitude (selection threshold).
-float ExactThreshold(std::span<const float> gradient, size_t k,
-                     Workspace& ws) {
-  PooledFloats magnitudes = ws.floats(gradient.size());
-  for (size_t i = 0; i < gradient.size(); ++i) {
-    magnitudes[i] = std::abs(gradient[i]);
+// The selection threshold as a magnitude key (simd::MagnitudeKey): the
+// k-th largest |x|, exactly the float std::nth_element would return, since
+// key order is magnitude order for non-NaN floats.
+StatusOr<uint32_t> ExactThreshold(std::span<const float> gradient, size_t k,
+                                  Workspace& ws) {
+  PooledU32 scratch = ws.indices(gradient.size());
+  uint32_t max_key;
+  const uint32_t threshold = simd::KthLargestMagnitude(
+      gradient.data(), gradient.size(), k, scratch.data(), &max_key);
+  if (max_key > simd::kInfMagnitudeKey) {
+    return InvalidArgumentError("dgc: gradient has a NaN");
   }
-  std::nth_element(magnitudes.begin(), magnitudes.begin() + (k - 1),
-                   magnitudes.end(), std::greater<float>());
-  return magnitudes[k - 1];
+  return threshold;
 }
 
 // Sampled threshold: deterministic strided sample, then quantile selection.
-float SampledThreshold(std::span<const float> gradient, size_t k,
-                       uint64_t seed, Workspace& ws) {
+// A NaN in the sample is caught by the scan, which sees every element.
+uint32_t SampledThreshold(std::span<const float> gradient, size_t k,
+                          uint64_t seed, Workspace& ws) {
   const size_t n = gradient.size();
   const size_t sample_size = std::max<size_t>(4096, n / 100);
   const size_t stride = std::max<size_t>(1, n / sample_size);
@@ -38,16 +45,67 @@ float SampledThreshold(std::span<const float> gradient, size_t k,
   PooledFloats sample = ws.floats(0);
   sample.reserve(n / stride + 1);
   for (size_t i = start; i < n; i += stride) {
-    sample.push_back(std::abs(gradient[i]));
+    sample.push_back(gradient[i]);
   }
   // Keep the same fraction in the sample as in the full gradient.
   size_t sample_k = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(k) * sample.size() /
                              static_cast<double>(n)));
   sample_k = std::min(sample_k, sample.size());
-  std::nth_element(sample.begin(), sample.begin() + (sample_k - 1),
-                   sample.end(), std::greater<float>());
-  return sample[sample_k - 1];
+  PooledU32 scratch = ws.indices(sample.size());
+  uint32_t max_key;
+  return simd::KthLargestMagnitude(sample.data(), sample.size(), sample_k,
+                                   scratch.data(), &max_key);
+}
+
+// Ascending indices of every element with |x| >= the threshold, scanned in
+// parallel shards and concatenated in index order. Each shard stages hits
+// in a small block, so memory follows the number selected, not the
+// gradient size. Fails on a NaN anywhere.
+Status ScanAtLeast(std::span<const float> gradient, uint32_t threshold_key,
+                   Workspace& ws, PooledU32& indices) {
+  struct Shard {
+    size_t begin = 0;
+    uint32_t max_key = 0;
+    PooledU32 hits;
+  };
+  std::vector<Shard> shards;
+  std::mutex shards_mutex;
+  ThreadPool::Global().ParallelFor(
+      gradient.size(), kScanGrain, [&](size_t begin, size_t end) {
+        Shard shard{begin, 0, ws.indices(0)};
+        constexpr size_t kBlock = 4096;
+        uint32_t staged[kBlock];
+        for (size_t block = begin; block < end; block += kBlock) {
+          uint32_t max_key;
+          const size_t count = simd::SelectAtLeast(
+              gradient.data() + block, std::min(kBlock, end - block),
+              threshold_key, static_cast<uint32_t>(block), staged, &max_key);
+          shard.max_key = std::max(shard.max_key, max_key);
+          const size_t size = shard.hits.size();
+          shard.hits.resize(size + count);
+          std::memcpy(shard.hits.data() + size, staged,
+                      count * sizeof(uint32_t));
+        }
+        std::lock_guard<std::mutex> lock(shards_mutex);
+        shards.push_back(std::move(shard));
+      });
+  std::sort(shards.begin(), shards.end(),
+            [](const Shard& a, const Shard& b) { return a.begin < b.begin; });
+  size_t total = 0;
+  for (const Shard& shard : shards) {
+    if (shard.max_key > simd::kInfMagnitudeKey) {
+      return InvalidArgumentError("dgc: gradient has a NaN");
+    }
+    total += shard.hits.size();
+  }
+  indices.reserve(total);
+  for (const Shard& shard : shards) {
+    for (const uint32_t hit : shard.hits) {
+      indices.push_back(hit);
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace
@@ -70,56 +128,15 @@ StatusOr<size_t> DgcCompressor::EncodeInto(std::span<const float> gradient,
     return SparseEncodeInto(0, {}, {}, out);
   }
 
-  const float threshold =
-      n <= kExactSelectionLimit
-          ? ExactThreshold(gradient, target_k, ws)
-          : SampledThreshold(gradient, target_k, seed_, ws);
-
-  // Parallel scan: collect indices above the threshold per shard, in order.
-  const size_t num_shards =
-      std::min<size_t>(ThreadPool::Global().num_threads(),
-                       std::max<size_t>(1, n / (256 * 1024)) );
-  std::vector<PooledU32> shard_hits;
-  for (size_t s = 0; s < std::max<size_t>(1, num_shards); ++s) {
-    shard_hits.emplace_back(ws.pool());
+  uint32_t threshold_key;
+  if (n <= kExactSelectionLimit) {
+    ASSIGN_OR_RETURN(threshold_key,
+                     ExactThreshold(gradient, std::min(target_k, n), ws));
+  } else {
+    threshold_key = SampledThreshold(gradient, target_k, seed_, ws);
   }
-  {
-    const size_t shards = shard_hits.size();
-    const size_t shard_size = (n + shards - 1) / shards;
-    std::vector<std::future<void>> futures;
-    for (size_t s = 0; s < shards; ++s) {
-      const size_t begin = s * shard_size;
-      const size_t end = std::min(n, begin + shard_size);
-      if (begin >= end) {
-        continue;
-      }
-      futures.push_back(ThreadPool::Global().Submit([&, s, begin, end] {
-        auto& hits = shard_hits[s];
-        for (size_t i = begin; i < end; ++i) {
-          if (std::abs(gradient[i]) >= threshold) {
-            hits.push_back(static_cast<uint32_t>(i));
-          }
-        }
-      }));
-    }
-    for (auto& f : futures) {
-      f.wait();
-    }
-  }
-
   PooledU32 indices = ws.indices(0);
-  {
-    size_t total = 0;
-    for (const auto& hits : shard_hits) {
-      total += hits.size();
-    }
-    indices.reserve(total);
-    for (const auto& hits : shard_hits) {
-      for (const uint32_t hit : hits) {
-        indices.push_back(hit);
-      }
-    }
-  }
+  RETURN_IF_ERROR(ScanAtLeast(gradient, threshold_key, ws, indices));
 
   // Sampling can overshoot; trim to exactly target_k by magnitude, then
   // restore index order. (It can also undershoot, in which case we send the

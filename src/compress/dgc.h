@@ -4,7 +4,9 @@
 // magnitudes (paper default 0.1%; Figure 12b sweeps 0.1/1/5%). For large
 // gradients the selection threshold is estimated from a deterministic strided
 // sample (the original's sampled top-k trick), then refined so exactly
-// target-k elements are sent; small gradients use exact selection. Gradient
+// target-k elements are sent; small gradients use exact selection. Both
+// select by radix over magnitude bit patterns (src/compress/simd_kernels.h),
+// and a gradient holding a NaN is rejected with InvalidArgument. Gradient
 // clipping / momentum correction from the original recipe are applied by the
 // ErrorFeedback wrapper during training.
 #ifndef HIPRESS_SRC_COMPRESS_DGC_H_

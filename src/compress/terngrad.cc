@@ -7,6 +7,7 @@
 
 #include "src/common/bitops.h"
 #include "src/common/thread_pool.h"
+#include "src/compress/simd_kernels.h"
 
 namespace hipress {
 namespace {
@@ -33,22 +34,26 @@ StatusOr<size_t> TernGradCompressor::EncodeInto(
   }
   uint8_t* bytes = out.data();
 
-  // Pass 1: min/max reduce (sharded).
-  float min_value = n > 0 ? gradient[0] : 0.0f;
-  float max_value = min_value;
-  std::mutex minmax_mutex;
-  ThreadPool::Global().ParallelFor(n, 64 * 1024, [&](size_t begin,
-                                                     size_t end) {
-    float local_min = gradient[begin];
-    float local_max = gradient[begin];
-    for (size_t i = begin + 1; i < end; ++i) {
-      local_min = std::min(local_min, gradient[i]);
-      local_max = std::max(local_max, gradient[i]);
-    }
-    std::lock_guard<std::mutex> lock(minmax_mutex);
-    min_value = std::min(min_value, local_min);
-    max_value = std::max(max_value, local_max);
-  });
+  // Pass 1: min/max reduce (sharded). totalOrder min/max is associative and
+  // commutative, so neither the shard layout nor the merge order can change
+  // the result, and a NaN or infinity always reaches an end of the range.
+  simd::FloatRange range;
+  if (n > 0) {
+    range = {gradient[0], gradient[0]};
+    std::mutex range_mutex;
+    ThreadPool::Global().ParallelFor(
+        n, 64 * 1024, [&](size_t begin, size_t end) {
+          const simd::FloatRange local =
+              simd::TotalOrderMinMax(gradient.data() + begin, end - begin);
+          std::lock_guard<std::mutex> lock(range_mutex);
+          range = simd::MergeRanges(range, local);
+        });
+  }
+  if (!std::isfinite(range.min) || !std::isfinite(range.max)) {
+    return InvalidArgumentError("terngrad: gradient has a NaN or infinity");
+  }
+  const float min_value = range.min;
+  const float max_value = range.max;
 
   const uint32_t count = static_cast<uint32_t>(n);
   const uint8_t bits = static_cast<uint8_t>(bitwidth_);
@@ -62,36 +67,25 @@ StatusOr<size_t> TernGradCompressor::EncodeInto(
   std::memcpy(bytes + write, &max_value, sizeof(max_value));
 
   const uint32_t levels = (1u << bitwidth_) - 1;
-  const float gap =
-      levels > 0 ? (max_value - min_value) / static_cast<float>(levels) : 0.0f;
-  const float inv_gap = gap > 0.0f ? 1.0f / gap : 0.0f;
+  const float gap = (max_value - min_value) / static_cast<float>(levels);
   uint8_t* packed = bytes + kHeaderBytes;
-  const unsigned per_byte = 8 / bitwidth_;
   const size_t num_bytes = PackedBytes(n, bitwidth_);
-  const uint64_t seed = seed_;
-  const unsigned bitwidth = bitwidth_;
+  if (!(gap > 0.0f)) {
+    std::memset(packed, 0, num_bytes);  // constant gradient: every level 0
+    return needed;
+  }
+  const simd::TernGradScale scale{min_value, 1.0f / gap, bitwidth_, seed_};
+  const unsigned per_byte = 8 / bitwidth_;
 
-  // Pass 2: stochastic quantize + pack. Element-indexed hashing makes the
-  // rounding independent of how shards split the range.
+  // Pass 2: stochastic quantize + pack, sharded on whole output bytes.
+  // Element-indexed hashing makes the rounding independent of the shards.
   ThreadPool::Global().ParallelFor(
       num_bytes, kParallelGrain, [&](size_t byte_begin, size_t byte_end) {
-        for (size_t b = byte_begin; b < byte_end; ++b) {
-          uint8_t byte = 0;
-          const size_t base = b * per_byte;
-          const size_t limit = std::min<size_t>(per_byte, n - base);
-          for (size_t i = 0; i < limit; ++i) {
-            const size_t idx = base + i;
-            uint32_t q = 0;
-            if (gap > 0.0f) {
-              const float r = (gradient[idx] - min_value) * inv_gap;
-              const float u = HashUniform(seed, idx);
-              q = static_cast<uint32_t>(std::floor(r + u));
-              q = std::min(q, levels);
-            }
-            byte |= static_cast<uint8_t>(q << (i * bitwidth));
-          }
-          packed[b] = byte;
-        }
+        const size_t first = byte_begin * per_byte;
+        const size_t last = std::min(n, byte_end * per_byte);
+        simd::TernGradQuantizePack(gradient.data() + first, last - first,
+                                   first, scale, packed + byte_begin,
+                                   byte_end - byte_begin);
       });
   return needed;
 }
@@ -122,23 +116,17 @@ Status TernGradDecodeImpl(const ByteBuffer& in, std::span<float> out) {
       levels > 0 ? (max_value - min_value) / static_cast<float>(levels) : 0.0f;
   const uint8_t* packed = in.data() + kHeaderBytes;
   const unsigned per_byte = 8 / bits;
-  const uint8_t mask = static_cast<uint8_t>((1u << bits) - 1);
   ThreadPool::Global().ParallelFor(
       PackedBytes(count, bits), kParallelGrain,
       [&](size_t byte_begin, size_t byte_end) {
-        for (size_t b = byte_begin; b < byte_end; ++b) {
-          const uint8_t byte = packed[b];
-          const size_t base = b * per_byte;
-          const size_t limit = std::min<size_t>(per_byte, count - base);
-          for (size_t i = 0; i < limit; ++i) {
-            const uint32_t q = (byte >> (i * bits)) & mask;
-            const float value = min_value + static_cast<float>(q) * gap;
-            if constexpr (kAccumulate) {
-              out[base + i] += value;
-            } else {
-              out[base + i] = value;
-            }
-          }
+        const size_t first = byte_begin * per_byte;
+        const size_t last = std::min<size_t>(count, byte_end * per_byte);
+        if constexpr (kAccumulate) {
+          simd::TernGradUnpackAdd(packed + byte_begin, last - first, bits,
+                                  min_value, gap, out.data() + first);
+        } else {
+          simd::TernGradUnpack(packed + byte_begin, last - first, bits,
+                               min_value, gap, out.data() + first);
         }
       });
   return OkStatus();

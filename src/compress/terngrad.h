@@ -9,6 +9,10 @@
 // which is what preserves convergence. bitwidth=2 is the paper's default;
 // Figure 12b sweeps 2/4/8 bits.
 //
+// A gradient holding a NaN or an infinity has no finite range to quantize
+// and is rejected with InvalidArgument. The kernels live in
+// src/compress/simd_kernels.h (docs/KERNELS.md).
+//
 // Encoded layout:
 //   uint32 count | uint8 bitwidth | float min | float max | packed codes
 #ifndef HIPRESS_SRC_COMPRESS_TERNGRAD_H_

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -277,6 +279,32 @@ TEST(ThreadPoolTest, ParallelForGrainLargerThanTotalRunsSingleShard) {
     ++calls;
   });
   EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForVisitsEachIndexOnceAndRunsLastShardInline) {
+  ThreadPool pool(3);
+  for (size_t total : {1u, 2u, 7u, 64u, 1000u, 4097u}) {
+    for (size_t grain : {1u, 3u, 64u, 5000u}) {
+      std::vector<std::atomic<int>> hits(total);
+      std::mutex mutex;
+      std::thread::id last_shard_thread;
+      pool.ParallelFor(total, grain, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          ++hits[i];
+        }
+        if (end == total) {
+          std::lock_guard<std::mutex> lock(mutex);
+          last_shard_thread = std::this_thread::get_id();
+        }
+      });
+      for (size_t i = 0; i < total; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "index " << i << " total " << total << " grain " << grain;
+      }
+      EXPECT_EQ(last_shard_thread, std::this_thread::get_id())
+          << "total " << total << " grain " << grain;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, AtLeastOneThread) {

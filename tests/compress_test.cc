@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "src/common/rng.h"
@@ -14,6 +15,7 @@
 #include "src/compress/sparse_format.h"
 #include "src/compress/tbq.h"
 #include "src/compress/terngrad.h"
+#include "tests/simd_test_util.h"
 
 namespace hipress {
 namespace {
@@ -635,6 +637,140 @@ TEST_P(RoundTripTest, EncodeDecodeSucceedsAtAllSizes) {
   auto count = (*codec)->EncodedElementCount(encoded);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, param.size);
+}
+
+// ------------------------------------------------------------- golden bytes
+//
+// FNV-1a fingerprints of encoded sparsifier output, recorded from the
+// original scalar implementations. Every SIMD tier must reproduce them
+// exactly: the wire bytes, and with them every training result built on
+// these codecs, are part of the contract (docs/KERNELS.md).
+
+uint64_t Fnv1a(const ByteBuffer& buffer) {
+  uint64_t hash = 1469598103934665603ull;
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    hash = (hash ^ buffer.data()[i]) * 1099511628211ull;
+  }
+  return hash;
+}
+
+// Magnitudes drawn from five levels, so thousands of elements tie at the
+// selection threshold and DGC must trim the overshoot.
+Tensor TieHeavyGradient(size_t size) {
+  Tensor tensor("ties", size);
+  for (size_t i = 0; i < size; ++i) {
+    const float magnitude = static_cast<float>((i * 7919) % 5) * 0.25f;
+    tensor[i] = (i % 3 == 0) ? -magnitude : magnitude;
+  }
+  return tensor;
+}
+
+struct GoldenCase {
+  const char* algorithm;
+  unsigned bitwidth;
+  double ratio;
+  size_t size;
+  bool ties;
+  uint64_t fingerprint;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenCase& c) {
+  return os << c.algorithm << "/bits" << c.bitwidth << "/ratio" << c.ratio
+            << "/n" << c.size << (c.ties ? "/ties" : "");
+}
+
+class GoldenBytesTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenBytesTest, EncodedBytesMatchAtEveryTier) {
+  const GoldenCase& c = GetParam();
+  CompressorParams params;
+  params.bitwidth = c.bitwidth;
+  params.sparsity_ratio = c.ratio;
+  auto codec = CreateCompressor(c.algorithm, params);
+  ASSERT_TRUE(codec.ok());
+  const Tensor gradient =
+      c.ties ? TieHeavyGradient(c.size) : RandomGradient(c.size, 4000 + c.size);
+  for (SimdTier tier : AvailableTiers()) {
+    SimdTierGuard guard(tier);
+    ByteBuffer encoded;
+    ASSERT_TRUE((*codec)->Encode(gradient.span(), &encoded).ok());
+    EXPECT_EQ(Fnv1a(encoded), c.fingerprint)
+        << "tier " << SimdTierName(tier) << ": got 0x" << std::hex
+        << Fnv1a(encoded);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sparsifiers, GoldenBytesTest,
+    ::testing::Values(
+        GoldenCase{"terngrad", 1, 0, 37, false, 0xda9a9f2b71c5aebfull},
+        GoldenCase{"terngrad", 2, 0, 37, false, 0x8fd2f90a74ac6e65ull},
+        GoldenCase{"terngrad", 4, 0, 37, false, 0xb8ae25c8faf19a0cull},
+        GoldenCase{"terngrad", 8, 0, 37, false, 0x71565bdf5c6c59b6ull},
+        GoldenCase{"terngrad", 1, 0, 100003, false, 0x7664d0cc2e9f1a7cull},
+        GoldenCase{"terngrad", 2, 0, 100003, false, 0x3252d726b9ef6c85ull},
+        GoldenCase{"terngrad", 4, 0, 100003, false, 0x933033b986642a36ull},
+        GoldenCase{"terngrad", 8, 0, 100003, false, 0x1fa795bb18d04942ull},
+        GoldenCase{"dgc", 0, 0.01, 16, false, 0x1bba7309390fd5a5ull},
+        GoldenCase{"dgc", 0, 0.01, 1024, false, 0x457fde3dcdda6285ull},
+        GoldenCase{"dgc", 0, 0.01, 65536, false, 0xf88c27ba16d5a8f7ull},
+        GoldenCase{"dgc", 0, 0.01, 65537, false, 0xb65cd94483f32dbfull},
+        GoldenCase{"dgc", 0, 0.01, 131072, false, 0x6794ed5b345632e9ull},
+        GoldenCase{"dgc", 0, 0.001, 16, false, 0x1bba7309390fd5a5ull},
+        GoldenCase{"dgc", 0, 0.001, 1024, false, 0x58a8d02708ad59b8ull},
+        GoldenCase{"dgc", 0, 0.001, 65536, false, 0x1dc2ce70ec528248ull},
+        GoldenCase{"dgc", 0, 0.001, 65537, false, 0x688e76c4c7f32aaaull},
+        GoldenCase{"dgc", 0, 0.001, 131072, false, 0x5014969e8370a5abull},
+        // Gradients the scan splits into shards shorter than its grain.
+        GoldenCase{"dgc", 0, 0.01, 300000, false, 0xe5d65737d629b0c4ull},
+        GoldenCase{"dgc", 0, 0.001, 300000, false, 0x36f4d9a7a8da2f62ull},
+        GoldenCase{"dgc", 0, 0.01, 600000, false, 0x203cce07eeb7821cull},
+        GoldenCase{"dgc", 0, 0.001, 600000, false, 0xd3cbf6047dd292daull},
+        GoldenCase{"dgc", 0, 0.01, 4096, true, 0x5a99af6f06bba616ull},
+        GoldenCase{"dgc", 0, 0.01, 131072, true, 0xa23cd009b098782cull}));
+
+// Non-finite input has one defined outcome, wherever the bad element sits
+// (shard starts included) and at every tier: terngrad rejects NaN and
+// infinities, whose range cannot be quantized; dgc rejects NaN, which has
+// no magnitude order, and ranks infinities like any other magnitude.
+TEST(NonFiniteTest, SparsifiersRejectNaNAtEveryPositionAndTier) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  CompressorParams params;
+  params.bitwidth = 4;
+  params.sparsity_ratio = 0.01;
+  const TernGradCompressor terngrad(params);
+  const DgcCompressor dgc(params);
+  for (size_t n : {1u, 100u, 65536u, 200000u}) {
+    for (size_t pos : {size_t{0}, n / 2, size_t{64 * 1024}, n - 1}) {
+      if (pos >= n) {
+        continue;
+      }
+      for (SimdTier tier : AvailableTiers()) {
+        SimdTierGuard guard(tier);
+        Tensor gradient = RandomGradient(n, 50 + n);
+        ByteBuffer encoded;
+        gradient[pos] = nan;
+        EXPECT_EQ(terngrad.Encode(gradient.span(), &encoded).code(),
+                  StatusCode::kInvalidArgument)
+            << "n=" << n << " pos=" << pos;
+        EXPECT_EQ(dgc.Encode(gradient.span(), &encoded).code(),
+                  StatusCode::kInvalidArgument)
+            << "n=" << n << " pos=" << pos;
+        gradient[pos] = -inf;
+        EXPECT_EQ(terngrad.Encode(gradient.span(), &encoded).code(),
+                  StatusCode::kInvalidArgument)
+            << "n=" << n << " pos=" << pos;
+        ASSERT_TRUE(dgc.Encode(gradient.span(), &encoded).ok());
+        auto view = SparseParse(encoded);
+        ASSERT_TRUE(view.ok());
+        EXPECT_TRUE(std::find(view->indices, view->indices + view->k,
+                              static_cast<uint32_t>(pos)) !=
+                    view->indices + view->k)
+            << "an infinite element is always among the largest";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

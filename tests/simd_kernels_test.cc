@@ -5,9 +5,11 @@
 // and on adversarial values (NaN, ±inf, ±0, subnormals, threshold ties).
 #include "src/compress/simd_kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +17,9 @@
 #include "src/common/bitops.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
+#include "src/compress/compressor.h"
 #include "src/compress/fp16.h"
+#include "tests/simd_test_util.h"
 
 namespace hipress {
 namespace {
@@ -24,17 +28,6 @@ namespace {
 const size_t kLengths[] = {0,  1,  7,   8,   9,    15,   16,  17,
                            31, 32, 33,  63,  64,   65,   100, 1023,
                            4095, 4096, 4097, 10000};
-
-std::vector<SimdTier> AvailableTiers() {
-  std::vector<SimdTier> tiers = {SimdTier::kScalar};
-  if (SimdHostTier() >= SimdTier::kAvx2) {
-    tiers.push_back(SimdTier::kAvx2);
-  }
-  if (SimdHostTier() >= SimdTier::kAvx512) {
-    tiers.push_back(SimdTier::kAvx512);
-  }
-  return tiers;
-}
 
 // Fills n floats starting at an intentionally misaligned pointer: the
 // backing store is over-allocated and the span starts one element in, so
@@ -99,12 +92,6 @@ uint64_t DoubleBits(double v) {
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
 }
-
-class SimdTierGuard {
- public:
-  explicit SimdTierGuard(SimdTier tier) { SimdTierOverride(tier); }
-  ~SimdTierGuard() { ClearSimdTierOverride(); }
-};
 
 TEST(SimdKernelsTest, OnebitSignStatsBitIdenticalAcrossTiers) {
   for (size_t n : kLengths) {
@@ -307,6 +294,285 @@ TEST(SimdKernelsTest, Fp16DecodeAddMatchesAcrossTiers) {
   }
 }
 
+// ------------------------------------------------------------- terngrad
+
+// Bitwise equality of two float arrays, NaN payloads included.
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+uint32_t FloatBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(SimdKernelsTest, TotalOrderMinMaxBitIdenticalAcrossTiers) {
+  for (size_t n : kLengths) {
+    if (n == 0) {
+      continue;
+    }
+    UnalignedSpan x(n);
+    FillAdversarial(x.data(), n, /*seed=*/n * 7 + 5);
+    simd::FloatRange ref;
+    {
+      SimdTierGuard guard(SimdTier::kScalar);
+      ref = simd::TotalOrderMinMax(x.data(), n);
+    }
+    for (SimdTier tier : AvailableTiers()) {
+      SimdTierGuard guard(tier);
+      const simd::FloatRange got = simd::TotalOrderMinMax(x.data(), n);
+      EXPECT_EQ(FloatBits(ref.min), FloatBits(got.min))
+          << "n=" << n << " tier=" << SimdTierName(tier);
+      EXPECT_EQ(FloatBits(ref.max), FloatBits(got.max))
+          << "n=" << n << " tier=" << SimdTierName(tier);
+    }
+  }
+}
+
+TEST(SimdKernelsTest, TotalOrderMinMaxOrdersSignedZeroAndNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> zeros = {0.0f, -0.0f, 0.0f};
+  const std::vector<float> with_nan = {1.0f, nan, -inf};
+  for (SimdTier tier : AvailableTiers()) {
+    SimdTierGuard guard(tier);
+    const simd::FloatRange z = simd::TotalOrderMinMax(zeros.data(), 3);
+    EXPECT_TRUE(std::signbit(z.min));
+    EXPECT_FALSE(std::signbit(z.max));
+    const simd::FloatRange r = simd::TotalOrderMinMax(with_nan.data(), 3);
+    EXPECT_EQ(r.min, -inf);
+    EXPECT_TRUE(std::isnan(r.max));
+    // Merging is order-independent.
+    const simd::FloatRange a{-0.0f, 1.0f};
+    const simd::FloatRange b{0.0f, 2.0f};
+    EXPECT_EQ(FloatBits(simd::MergeRanges(a, b).min),
+              FloatBits(simd::MergeRanges(b, a).min));
+  }
+}
+
+// The quantizer as the original codec wrote it: HashUniform, floor, then
+// clamp to the top level. Defined for finite inputs inside [min, max].
+std::vector<uint32_t> ReferenceLevels(const float* x, size_t n,
+                                      uint64_t first_index,
+                                      const simd::TernGradScale& scale) {
+  const uint32_t levels = (1u << scale.bits) - 1;
+  std::vector<uint32_t> q(n);
+  for (size_t i = 0; i < n; ++i) {
+    const float r = (x[i] - scale.min) * scale.inv_gap;
+    const float u = HashUniform(scale.seed, first_index + i);
+    q[i] = std::min(static_cast<uint32_t>(std::floor(r + u)), levels);
+  }
+  return q;
+}
+
+TEST(SimdKernelsTest, TernGradQuantizeMatchesHashUniformReference) {
+  for (unsigned bits : {1u, 2u, 4u, 8u}) {
+    const size_t n = 1000;
+    std::vector<float> x(n);
+    Rng rng(bits);
+    for (float& v : x) {
+      v = static_cast<float>(rng.NextGaussian());
+    }
+    const simd::FloatRange range = simd::TotalOrderMinMax(x.data(), n);
+    const float gap = (range.max - range.min) /
+                      static_cast<float>((1u << bits) - 1);
+    const simd::TernGradScale scale{range.min, 1.0f / gap, bits, 99};
+    const uint64_t first_index = 8 * 4001;
+    const std::vector<uint32_t> want =
+        ReferenceLevels(x.data(), n, first_index, scale);
+    std::vector<uint8_t> expected(PackedBytes(n, bits), 0);
+    for (size_t i = 0; i < n; ++i) {
+      expected[i * bits / 8] |=
+          static_cast<uint8_t>(want[i] << ((i * bits) % 8));
+    }
+    for (SimdTier tier : AvailableTiers()) {
+      SimdTierGuard guard(tier);
+      std::vector<uint8_t> packed(expected.size(), 0xee);
+      simd::TernGradQuantizePack(x.data(), n, first_index, scale,
+                                 packed.data(), packed.size());
+      EXPECT_EQ(expected, packed)
+          << "bits=" << bits << " tier=" << SimdTierName(tier);
+    }
+  }
+}
+
+TEST(SimdKernelsTest, TernGradPackUnpackBitIdenticalAcrossTiers) {
+  // The last scale is pathological (infinite inv_gap): every t is inf or
+  // NaN and must clamp the same way on every tier.
+  const simd::TernGradScale scales[] = {
+      {-1.25f, 0.8f, 0, 7},
+      {0.0f, std::numeric_limits<float>::infinity(), 0, 3}};
+  for (unsigned bits : {1u, 2u, 4u, 8u}) {
+    for (simd::TernGradScale scale : scales) {
+      scale.bits = bits;
+      for (size_t n : kLengths) {
+        UnalignedSpan x(n);
+        FillAdversarial(x.data(), n, /*seed=*/n * 3 + bits);
+        const size_t packed_bytes = PackedBytes(n, bits);
+        const uint64_t first_index = n * 8;
+        std::vector<uint8_t> ref_packed(packed_bytes, 0xee);
+        std::vector<float> ref_out(n), ref_accum(n, 0.5f);
+        {
+          SimdTierGuard guard(SimdTier::kScalar);
+          simd::TernGradQuantizePack(x.data(), n, first_index, scale,
+                                     ref_packed.data(), packed_bytes);
+          simd::TernGradUnpack(ref_packed.data(), n, bits, -1.25f, 0.3f,
+                               ref_out.data());
+          simd::TernGradUnpackAdd(ref_packed.data(), n, bits, -1.25f, 0.3f,
+                                  ref_accum.data());
+        }
+        for (SimdTier tier : AvailableTiers()) {
+          SimdTierGuard guard(tier);
+          std::vector<uint8_t> packed(packed_bytes, 0xee);
+          simd::TernGradQuantizePack(x.data(), n, first_index, scale,
+                                     packed.data(), packed_bytes);
+          EXPECT_EQ(ref_packed, packed) << "bits=" << bits << " n=" << n
+                                        << " tier=" << SimdTierName(tier);
+          std::vector<float> out(n), accum(n, 0.5f);
+          simd::TernGradUnpack(packed.data(), n, bits, -1.25f, 0.3f,
+                               out.data());
+          simd::TernGradUnpackAdd(packed.data(), n, bits, -1.25f, 0.3f,
+                                  accum.data());
+          EXPECT_TRUE(SameBits(ref_out, out))
+              << "bits=" << bits << " n=" << n
+              << " tier=" << SimdTierName(tier);
+          EXPECT_TRUE(SameBits(ref_accum, accum))
+              << "bits=" << bits << " n=" << n
+              << " tier=" << SimdTierName(tier);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, TernGradUnpackIsMinPlusLevelTimesGap) {
+  // Every byte value, so every level appears at every position.
+  std::vector<uint8_t> packed(256);
+  for (size_t i = 0; i < packed.size(); ++i) {
+    packed[i] = static_cast<uint8_t>(i);
+  }
+  const float min = -0.731f;
+  const float gap = 0.0917f;
+  for (unsigned bits : {1u, 2u, 4u, 8u}) {
+    const size_t n = packed.size() * 8 / bits;
+    for (SimdTier tier : AvailableTiers()) {
+      SimdTierGuard guard(tier);
+      std::vector<float> out(n);
+      simd::TernGradUnpack(packed.data(), n, bits, min, gap, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t q =
+            (packed[i * bits / 8] >> ((i * bits) % 8)) & ((1u << bits) - 1);
+        const float want = min + static_cast<float>(q) * gap;
+        ASSERT_EQ(FloatBits(want), FloatBits(out[i]))
+            << "bits=" << bits << " i=" << i << " tier=" << SimdTierName(tier);
+      }
+    }
+  }
+}
+
+// -------------------------------------------------------------------- dgc
+
+float FromBits(uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// Checks KthLargestMagnitude against a full sort for a spread of k, at
+// every tier.
+void ExpectKthLargestMatchesSort(const std::vector<float>& x,
+                                 const std::string& label) {
+  const size_t n = x.size();
+  std::vector<uint32_t> sorted(n);
+  uint32_t want_max = 0;
+  for (size_t i = 0; i < n; ++i) {
+    sorted[i] = FloatBits(x[i]) & 0x7fffffffu;
+    want_max = std::max(want_max, sorted[i]);
+  }
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  std::vector<uint32_t> scratch(n);
+  for (SimdTier tier : AvailableTiers()) {
+    SimdTierGuard guard(tier);
+    for (size_t k = 1; k <= n; k += 1 + n / 40) {
+      uint32_t max_key = 0;
+      ASSERT_EQ(sorted[k - 1], simd::KthLargestMagnitude(x.data(), n, k,
+                                                         scratch.data(),
+                                                         &max_key))
+          << label << " n=" << n << " k=" << k
+          << " tier=" << SimdTierName(tier);
+      ASSERT_EQ(want_max, max_key) << label << " tier=" << SimdTierName(tier);
+    }
+  }
+}
+
+TEST(SimdKernelsTest, KthLargestMagnitudeMatchesSortAtEveryTier) {
+  for (size_t n : {1u, 5u, 64u, 65u, 1000u, 8191u, 8192u, 20000u}) {
+    Rng rng(n);
+    std::vector<float> gaussian(n), ties(n), wide(n);
+    for (size_t i = 0; i < n; ++i) {
+      gaussian[i] = static_cast<float>(rng.NextGaussian());
+      // Few distinct magnitudes: most ranks sit inside long runs of ties.
+      ties[i] = static_cast<float>(rng.NextBounded(6)) *
+                (rng.NextBounded(2) == 0 ? 0.25f : -0.25f);
+      // Any finite bit pattern, infinities included.
+      wide[i] = FromBits(static_cast<uint32_t>(rng.NextU64()) % 0x7f800001u);
+    }
+    ExpectKthLargestMatchesSort(gaussian, "gaussian");
+    ExpectKthLargestMatchesSort(ties, "ties");
+    ExpectKthLargestMatchesSort(wide, "wide");
+  }
+}
+
+TEST(SimdKernelsTest, KthLargestMagnitudeSurvivesMisleadingSample) {
+  // Every element the strided sample reads is tiny and the rest are large,
+  // so the sampled bracket is wrong and the selection must fall back.
+  const size_t n = 1 << 15;
+  const size_t stride = n / 1024;
+  Rng rng(5);
+  std::vector<float> x(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = i % stride == 0 ? 1e-6f
+                           : 1.0f + static_cast<float>(rng.NextGaussian());
+  }
+  ExpectKthLargestMatchesSort(x, "misleading");
+}
+
+TEST(SimdKernelsTest, SelectAtLeastBitIdenticalAcrossTiers) {
+  const uint32_t thresholds[] = {0u, 1u, FloatBits(0.5f), FloatBits(2.0f),
+                                 simd::kInfMagnitudeKey, 0xffffffffu};
+  for (size_t n : kLengths) {
+    UnalignedSpan x(n);
+    FillAdversarial(x.data(), n, /*seed=*/n * 13 + 7);
+    for (uint32_t threshold : thresholds) {
+      const uint32_t first_index = 1000;
+      std::vector<uint32_t> want;
+      uint32_t want_max = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t key = FloatBits(x.data()[i]) & 0x7fffffffu;
+        want_max = std::max(want_max, key);
+        if (key >= threshold) {
+          want.push_back(first_index + static_cast<uint32_t>(i));
+        }
+      }
+      for (SimdTier tier : AvailableTiers()) {
+        SimdTierGuard guard(tier);
+        std::vector<uint32_t> out(n);
+        uint32_t max_key = 0;
+        const size_t count = simd::SelectAtLeast(
+            x.data(), n, threshold, first_index, out.data(), &max_key);
+        out.resize(count);
+        EXPECT_EQ(want, out) << "n=" << n << " threshold=" << threshold
+                             << " tier=" << SimdTierName(tier);
+        EXPECT_EQ(want_max, max_key)
+            << "n=" << n << " tier=" << SimdTierName(tier);
+      }
+    }
+  }
+}
+
 // Misreported capacity is a contract violation, not a recoverable error:
 // the pack kernels must abort rather than scribble past the buffer at
 // vector width.
@@ -334,6 +600,16 @@ TEST(SimdKernelsDeathTest, Fp16EncodeAbortsOnMisreportedCapacity) {
   std::vector<float> x(64, 1.0f);
   std::vector<uint16_t> out(x.size());
   EXPECT_DEATH(simd::Fp16Encode(x.data(), x.size(), out.data(), x.size() - 1),
+               "misreported output capacity");
+}
+
+TEST(SimdKernelsDeathTest, TernGradPackAbortsOnMisreportedCapacity) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::vector<float> x(64, 1.0f);
+  std::vector<uint8_t> out(PackedBytes(x.size(), 4));
+  const simd::TernGradScale scale{0.0f, 1.0f, 4, 0};
+  EXPECT_DEATH(simd::TernGradQuantizePack(x.data(), x.size(), 0, scale,
+                                          out.data(), out.size() - 1),
                "misreported output capacity");
 }
 

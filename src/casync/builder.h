@@ -19,6 +19,7 @@
 #ifndef HIPRESS_SRC_CASYNC_BUILDER_H_
 #define HIPRESS_SRC_CASYNC_BUILDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,16 @@ struct GradientSync {
 
 // Minimum bytes on the wire for a compressed partition (codec headers).
 inline constexpr uint64_t kMinWireBytes = 16;
+
+// Exact sizes of the DAG AppendSyncTasks builds for `gradient`: tasks, and
+// overflow edges (out-edges after each task's first, TaskGraph's second
+// array). Each builder reserves them before appending.
+struct SyncTaskCounts {
+  size_t tasks = 0;
+  size_t overflow_edges = 0;
+};
+SyncTaskCounts CountSyncTasks(const SyncConfig& config,
+                              const GradientSync& gradient);
 
 // Appends the synchronization task DAG for `gradient` to `graph`,
 // dispatching on config.strategy. Tasks become runnable when the engine

@@ -69,39 +69,71 @@ CpCategory CategoryOf(PrimitiveType type) {
   return CpCategory::kWait;
 }
 
-bool Completed(const SyncTask& task) {
+bool Completed(const TaskRecord& task) {
   return task.end_time != kTaskNeverRan;
+}
+
+// The completed task finishing last (first one on ties, so the extracted
+// chain is deterministic), or kInvalidTask when nothing completed.
+TaskId FindTerminal(const TaskGraph& graph) {
+  TaskId terminal = kInvalidTask;
+  SimTime terminal_end = 0;
+  for (TaskId id = 0; id < graph.size(); ++id) {
+    const TaskRecord& task = graph.task(id);
+    if (Completed(task) &&
+        (terminal == kInvalidTask || task.end_time > terminal_end)) {
+      terminal = id;
+      terminal_end = task.end_time;
+    }
+  }
+  return terminal;
+}
+
+// A completed task as a chain element, with unrecorded ready/start times
+// collapsed onto the neighbouring stage.
+CpStep MakeStep(const TaskGraph& graph, TaskId id) {
+  const TaskRecord& task = graph.task(id);
+  CpStep step;
+  step.task = id;
+  step.type = task.type;
+  step.node = task.node;
+  step.ready =
+      task.ready_time != kTaskNeverRan ? task.ready_time : task.end_time;
+  step.start =
+      task.start_time != kTaskNeverRan ? task.start_time : step.ready;
+  step.start = std::max(step.start, step.ready);
+  step.end = std::max(task.end_time, step.start);
+  return step;
 }
 
 }  // namespace
 
 CriticalPath AnalyzeCriticalPath(const TaskGraph& graph) {
   CriticalPath path;
-  if (graph.empty()) {
-    return path;
-  }
-  // Reverse adjacency: predecessors of every task.
-  std::vector<std::vector<TaskId>> preds(graph.size());
-  for (TaskId id = 0; id < graph.size(); ++id) {
-    for (const TaskId dependent : graph.task(id).dependents) {
-      preds[dependent].push_back(id);
-    }
-  }
-  // Terminal: the completed task finishing last (first one on ties, so the
-  // extracted chain is deterministic).
-  TaskId terminal = kInvalidTask;
-  for (TaskId id = 0; id < graph.size(); ++id) {
-    const SyncTask& task = graph.task(id);
-    if (!Completed(task)) {
-      continue;
-    }
-    if (terminal == kInvalidTask ||
-        task.end_time > graph.task(terminal).end_time) {
-      terminal = id;
-    }
-  }
+  const TaskId terminal = FindTerminal(graph);
   if (terminal == kInvalidTask) {
     return path;  // nothing executed (e.g. cancelled before any dispatch)
+  }
+  // Reverse adjacency in one array: task t's predecessors, in ascending id
+  // order, are preds[pred_begin[t] .. pred_begin[t + 1]).
+  const size_t n = graph.size();
+  std::vector<uint32_t> pred_begin(n + 1, 0);
+  for (TaskId id = 0; id < n; ++id) {
+    for (const TaskId dependent : graph.dependents(id)) {
+      ++pred_begin[dependent];
+    }
+  }
+  // Prefix sums leave each entry at the end of its task's run (and
+  // pred_begin[n] at the edge count); filling back to front walks each
+  // entry down to its run's start.
+  for (size_t t = 1; t <= n; ++t) {
+    pred_begin[t] += pred_begin[t - 1];
+  }
+  std::vector<TaskId> preds(pred_begin[n]);
+  for (TaskId id = static_cast<TaskId>(n); id-- > 0;) {
+    for (const TaskId dependent : graph.dependents(id)) {
+      preds[--pred_begin[dependent]] = id;
+    }
   }
   // Walk back through the predecessor whose completion gated each task's
   // readiness (the max-end predecessor: pending_deps hits zero exactly
@@ -111,8 +143,9 @@ CriticalPath AnalyzeCriticalPath(const TaskGraph& graph) {
   for (;;) {
     chain.push_back(cursor);
     TaskId gate = kInvalidTask;
-    for (const TaskId pred : preds[cursor]) {
-      const SyncTask& task = graph.task(pred);
+    for (uint32_t e = pred_begin[cursor]; e < pred_begin[cursor + 1]; ++e) {
+      const TaskId pred = preds[e];
+      const TaskRecord& task = graph.task(pred);
       if (!Completed(task)) {
         continue;
       }
@@ -131,21 +164,11 @@ CriticalPath AnalyzeCriticalPath(const TaskGraph& graph) {
   path.steps.reserve(chain.size());
   SimTime prev_end = kTaskNeverRan;
   for (const TaskId id : chain) {
-    const SyncTask& task = graph.task(id);
-    CpStep step;
-    step.task = id;
-    step.type = task.type;
-    step.node = task.node;
-    step.ready = task.ready_time != kTaskNeverRan ? task.ready_time
-                                                  : task.end_time;
-    step.start = task.start_time != kTaskNeverRan ? task.start_time
-                                                  : step.ready;
-    step.start = std::max(step.start, step.ready);
-    step.end = std::max(task.end_time, step.start);
+    const CpStep step = MakeStep(graph, id);
     // Queueing between readiness and resource start.
     path.attribution[CpCategory::kWait] += step.start - step.ready;
     // Service time to the primitive's category.
-    path.attribution[CategoryOf(task.type)] += step.end - step.start;
+    path.attribution[CategoryOf(step.type)] += step.end - step.start;
     // Defensive: any gap between the gating predecessor's end and this
     // task's recorded readiness is queueing too, so the attribution keeps
     // summing to the chain's extent even on imperfect timings.
@@ -164,17 +187,21 @@ IterationAttribution AttributeIteration(
     const std::vector<const TaskGraph*>& graphs, SimTime window_start,
     SimTime window_end) {
   IterationAttribution result;
+  // A chain ends at its terminal task, so each graph's path end needs only
+  // that task; only the bounding graph's chain is walked.
+  SimTime bound_end = 0;
   for (size_t i = 0; i < graphs.size(); ++i) {
     if (graphs[i] == nullptr) {
       continue;
     }
-    CriticalPath path = AnalyzeCriticalPath(*graphs[i]);
-    if (path.empty()) {
+    const TaskId terminal = FindTerminal(*graphs[i]);
+    if (terminal == kInvalidTask) {
       continue;
     }
-    if (result.bounding_graph < 0 || path.path_end > result.path.path_end) {
-      result.path = std::move(path);
+    const SimTime path_end = MakeStep(*graphs[i], terminal).end;
+    if (result.bounding_graph < 0 || path_end > bound_end) {
       result.bounding_graph = static_cast<int>(i);
+      bound_end = path_end;
     }
   }
   if (result.bounding_graph < 0) {
@@ -183,6 +210,7 @@ IterationAttribution AttributeIteration(
         std::max<SimTime>(0, window_end - window_start);
     return result;
   }
+  result.path = AnalyzeCriticalPath(*graphs[result.bounding_graph]);
   result.attribution = result.path.attribution;
   // Backward compute (plus launch bookkeeping) gates the chain's first
   // task; the BSP barrier tail past the chain waits on the slowest node's

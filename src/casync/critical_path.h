@@ -3,7 +3,7 @@
 // The paper's Figure 11 argues from a per-primitive latency breakdown; this
 // module explains *which chain* of encode/merge/send/recv/decode tasks
 // bounds an iteration. Given a TaskGraph executed with the engine's task
-// timing recording (SyncTask::{ready,start,end}_time), AnalyzeCriticalPath
+// timing recording (TaskRecord::{ready,start,end}_time), AnalyzeCriticalPath
 // walks the dependency DAG backwards from the last-finishing task, always
 // following the predecessor whose completion gated the successor's
 // readiness, and attributes every nanosecond of the chain to a category:

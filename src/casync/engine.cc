@@ -1,11 +1,34 @@
 #include "src/casync/engine.h"
 
 #include <algorithm>
+#include <functional>
+#include <span>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 
 namespace hipress {
+namespace {
+
+// The network message for a send task. A real-data send (non-null `data`)
+// hands over its payload and a copy of its receiver hook.
+NetMessage SendMessage(
+    const TaskRecord& send, TaskData* data,
+    std::function<void(std::span<const uint8_t>)>* on_payload) {
+  NetMessage message;
+  message.src = send.node;
+  message.dst = send.peer;
+  message.bytes = send.bytes;
+  message.tag = send.gradient_id;
+  if (data != nullptr) {
+    message.payload = std::move(data->payload);
+    *on_payload = data->deliver;
+  }
+  return message;
+}
+
+}  // namespace
 
 const char* StrategyKindName(StrategyKind kind) {
   switch (kind) {
@@ -157,8 +180,7 @@ void CaSyncEngine::Execute(TaskGraph* graph,
   // A graph that talks to an already-failed node can never complete; fail
   // it up front so the caller rebuilds over the survivors immediately.
   if (!failed_nodes_.empty()) {
-    for (TaskId id = 0; id < graph->size(); ++id) {
-      const SyncTask& task = graph->task(id);
+    for (const TaskRecord& task : graph->tasks()) {
       const bool dead_node = task.node >= 0 && node_failed_[task.node];
       const bool dead_peer = task.peer >= 0 && node_failed_[task.peer];
       if (dead_node || dead_peer) {
@@ -190,7 +212,7 @@ void CaSyncEngine::Execute(TaskGraph* graph,
   }
 }
 
-SimTime CaSyncEngine::ComputeDuration(const SyncTask& task) const {
+SimTime CaSyncEngine::ComputeDuration(const TaskRecord& task) const {
   switch (task.type) {
     case PrimitiveType::kEncode:
       return codec_speed_.encode.Time(task.bytes);
@@ -207,7 +229,7 @@ void CaSyncEngine::Dispatch(const GraphHandle& running, TaskId id) {
   if (running->done_fired) {
     return;  // cancelled graph: nothing new leaves the task manager
   }
-  SyncTask& task = running->graph->task(id);
+  TaskRecord& task = running->graph->task(id);
   task.ready_time = sim_->now();
   switch (task.type) {
     case PrimitiveType::kEncode:
@@ -302,30 +324,27 @@ void CaSyncEngine::Dispatch(const GraphHandle& running, TaskId id) {
         if (running->done_fired) {
           return;
         }
-        SyncTask& send = running->graph->task(id);
+        const TaskRecord& send = running->graph->task(id);
+        TaskData* data = running->graph->data(id);
         if (config_.pipelining) {
           if (coordinator_ != nullptr) {
-            if (send.payload != nullptr) {
+            if (data != nullptr && data->payload != nullptr) {
               // Pooled real-data path: the payload rides the batch frame by
               // reference; the graph's ref drops here so the block recycles
               // as soon as the frame is assembled.
               coordinator_->EnqueueTransfer(send.node, send.peer,
                                             send.gradient_id,
-                                            std::move(send.payload),
-                                            send.deliver, deliver);
+                                            std::move(data->payload),
+                                            data->deliver, deliver);
               return;
             }
             coordinator_->EnqueueWithStatus(send.node, send.peer, send.bytes,
                                             deliver);
             return;
           }
-          NetMessage message;
-          message.src = send.node;
-          message.dst = send.peer;
-          message.bytes = send.bytes;
-          message.tag = send.gradient_id;
-          message.payload = std::move(send.payload);
-          transmit(std::move(message), send.deliver);
+          std::function<void(std::span<const uint8_t>)> on_payload;
+          NetMessage message = SendMessage(send, data, &on_payload);
+          transmit(std::move(message), std::move(on_payload));
           return;
         }
         // Non-pipelined: the send waits for the node's sync path to drain,
@@ -334,16 +353,13 @@ void CaSyncEngine::Dispatch(const GraphHandle& running, TaskId id) {
         // owns the slot, and endpoint contention still applies on the
         // shared network.
         serial_[send.node]->Submit(0, [this, running, id, transmit] {
-          SyncTask& inner = running->graph->task(id);
+          const TaskRecord& inner = running->graph->task(id);
           serial_[inner.node]->Submit(
               net_->UncontendedSendTime(inner.bytes), [] {});
-          NetMessage message;
-          message.src = inner.node;
-          message.dst = inner.peer;
-          message.bytes = inner.bytes;
-          message.tag = inner.gradient_id;
-          message.payload = std::move(inner.payload);
-          transmit(std::move(message), inner.deliver);
+          std::function<void(std::span<const uint8_t>)> on_payload;
+          NetMessage message =
+              SendMessage(inner, running->graph->data(id), &on_payload);
+          transmit(std::move(message), std::move(on_payload));
         });
       };
       if (copy_overhead > 0) {
@@ -369,7 +385,8 @@ void CaSyncEngine::Complete(const GraphHandle& running, TaskId id) {
   if (running->done_fired) {
     return;  // straggler completion on a cancelled graph
   }
-  SyncTask& task = running->graph->task(id);
+  TaskGraph& graph = *running->graph;
+  TaskRecord& task = graph.task(id);
   task.end_time = sim_->now();
   if (task.type == PrimitiveType::kSend && task.ready_time != kTaskNeverRan) {
     // Measured end-to-end latency vs the uncontended send model: endpoint
@@ -378,11 +395,11 @@ void CaSyncEngine::Complete(const GraphHandle& running, TaskId id) {
     auditor_.AddSample(CostPrimitive::kSend, task.bytes,
                        task.end_time - task.ready_time);
   }
-  if (task.action) {
-    task.action();
+  if (TaskData* data = graph.data(id); data != nullptr && data->action) {
+    data->action();
   }
-  for (const TaskId dependent : task.dependents) {
-    if (--running->graph->task(dependent).pending_deps == 0) {
+  for (const TaskId dependent : graph.dependents(id)) {
+    if (--graph.task(dependent).pending_deps == 0) {
       Dispatch(running, dependent);
     }
   }
@@ -423,8 +440,7 @@ void CaSyncEngine::OnPeerFailure(int peer) {
     if (running == nullptr || running->done_fired) {
       continue;
     }
-    for (TaskId id = 0; id < running->graph->size(); ++id) {
-      const SyncTask& task = running->graph->task(id);
+    for (const TaskRecord& task : running->graph->tasks()) {
       if (task.node == peer || task.peer == peer) {
         doomed.push_back(running);
         break;

@@ -144,7 +144,7 @@ class CaSyncEngine {
   // Fails the graph once: fires on_done with `status` and freezes dispatch.
   void Fail(const GraphHandle& running, const Status& status);
   void OnPeerFailure(int peer);
-  SimTime ComputeDuration(const SyncTask& task) const;
+  SimTime ComputeDuration(const TaskRecord& task) const;
 
   // Cached handles into metrics_, one per instrumented primitive.
   struct PrimitiveMetrics {

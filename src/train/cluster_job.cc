@@ -63,6 +63,33 @@ struct Job {
   ClusterJobReport report;
 };
 
+// Adds one job's engine and coordinator counters into the shared registry
+// under the names a single-job run records them with.
+void AddEngineTotals(CaSyncEngine& engine, MetricsRegistry* shared) {
+  const EngineStats stats = engine.stats();
+  const std::pair<const char*, uint64_t> totals[] = {
+      {"engine.encode_tasks", stats.encode_tasks},
+      {"engine.decode_tasks", stats.decode_tasks},
+      {"engine.merge_tasks", stats.merge_tasks},
+      {"engine.send_tasks", stats.send_tasks},
+      {"engine.encode_time_ns", static_cast<uint64_t>(stats.encode_time)},
+      {"engine.decode_time_ns", static_cast<uint64_t>(stats.decode_time)},
+      {"engine.merge_time_ns", static_cast<uint64_t>(stats.merge_time)},
+      {"engine.wire_bytes", stats.wire_bytes},
+  };
+  for (const auto& [name, value] : totals) {
+    shared->counter(name).Increment(value);
+  }
+  if (engine.coordinator() == nullptr) {
+    return;
+  }
+  for (const char* name :
+       {"coordinator.batches", "coordinator.transfers_batched",
+        "coordinator.batch_bucket_waste_bytes"}) {
+    shared->counter(name).Increment(engine.metrics().counter_value(name));
+  }
+}
+
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
   for (int b = 0; b < 8; ++b) {
     hash ^= (value >> (8 * b)) & 0xffULL;
@@ -320,11 +347,13 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
       }
     }
 
-    // The engine keeps a private registry (metrics = nullptr): "engine.*"
-    // counters would otherwise merge across jobs on the shared registry
-    // and become unattributable.
+    // The engine records into a per-job registry: "engine.*" counters
+    // would otherwise merge across jobs on the shared registry and become
+    // unattributable. Their sums are published after the run.
+    job->report.engine_metrics = std::make_shared<MetricsRegistry>();
     job->engine = std::make_unique<CaSyncEngine>(
-        &sim, &net, gpus, job->engine_config, nullptr, spans.get());
+        &sim, &net, gpus, job->engine_config,
+        job->report.engine_metrics.get(), spans.get());
     job->report.name = job->prefix;
     job->report.model = spec.model;
     job->report.system = spec.system;
@@ -541,6 +570,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   uint64_t fingerprint = 14695981039346656037ULL;
   for (size_t k = 0; k < jobs.size(); ++k) {
     Job& job = *jobs[k];
+    AddEngineTotals(*job.engine, metrics.get());
     fingerprint = FnvMix(fingerprint, static_cast<uint64_t>(k));
     for (size_t i = 0; i < job.report.iteration_end.size(); ++i) {
       fingerprint = FnvMix(fingerprint, static_cast<uint64_t>(i));

@@ -89,6 +89,9 @@ struct ClusterJobReport {
   // fingerprint hashes these, so two runs from the same seed must match
   // bit-for-bit.
   std::vector<SimTime> iteration_end;
+  // This job's engine registry ("engine.*", "coordinator.*"): per-job
+  // attribution. The run's shared registry holds the sums over all jobs.
+  std::shared_ptr<MetricsRegistry> engine_metrics;
 };
 
 struct ClusterRunReport {

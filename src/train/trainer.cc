@@ -1134,8 +1134,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       std::vector<SimTime> last_end(static_cast<size_t>(config.num_nodes),
                                     kTaskNeverRan);
       for (const auto& graph : graphs) {
-        for (TaskId id = 0; id < graph->size(); ++id) {
-          const SyncTask& task = graph->task(id);
+        for (const TaskRecord& task : graph->tasks()) {
           if (task.node < 0 || task.end_time == kTaskNeverRan) {
             continue;
           }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "src/casync/builder.h"
 #include "src/casync/task.h"
@@ -14,7 +16,7 @@ namespace {
 
 std::map<PrimitiveType, int> CountByType(const TaskGraph& graph) {
   std::map<PrimitiveType, int> counts;
-  for (const SyncTask& task : graph.tasks()) {
+  for (const TaskRecord& task : graph.tasks()) {
     ++counts[task.type];
   }
   return counts;
@@ -37,14 +39,81 @@ GradientSync CompressedGradient(uint64_t bytes, int partitions) {
   return gradient;
 }
 
+std::vector<TaskId> Dependents(const TaskGraph& graph, TaskId id) {
+  std::vector<TaskId> out;
+  for (const TaskId dependent : graph.dependents(id)) {
+    out.push_back(dependent);
+  }
+  return out;
+}
+
 TEST(TaskGraphTest, AddAndDependencies) {
   TaskGraph graph;
   const TaskId a = graph.Add(SyncTask{});
   const TaskId b = graph.Add(SyncTask{});
   graph.AddDep(a, b);
   EXPECT_EQ(graph.task(b).pending_deps, 1);
-  ASSERT_EQ(graph.task(a).dependents.size(), 1u);
-  EXPECT_EQ(graph.task(a).dependents[0], b);
+  EXPECT_EQ(Dependents(graph, a), std::vector<TaskId>{b});
+  EXPECT_TRUE(Dependents(graph, b).empty());
+  EXPECT_EQ(graph.overflow_edges(), 0u);  // a first dependent is inline
+}
+
+TEST(TaskGraphTest, DependentsKeepDeclarationOrderAcrossInterleavedEdges) {
+  // Edges of different sources interleave in the shared edge array; each
+  // task still sees its dependents in AddDep order (the engine dispatches
+  // in that order).
+  TaskGraph graph;
+  for (int i = 0; i < 6; ++i) {
+    graph.Add(SyncTask{});
+  }
+  graph.AddDep(0, 4);
+  graph.AddDep(1, 2);
+  graph.AddDep(0, 2);
+  graph.AddDep(1, 5);
+  graph.AddDep(0, 3);
+  EXPECT_EQ(Dependents(graph, 0), (std::vector<TaskId>{4, 2, 3}));
+  EXPECT_EQ(Dependents(graph, 1), (std::vector<TaskId>{2, 5}));
+  EXPECT_EQ(graph.overflow_edges(), 3u);
+  EXPECT_EQ(graph.task(2).pending_deps, 2);
+  EXPECT_TRUE(graph.IsAcyclic());
+}
+
+TEST(TaskGraphTest, AddSplitsRealDataIntoSideTable) {
+  TaskGraph graph;
+  SyncTask timed;
+  timed.type = PrimitiveType::kSend;
+  timed.node = 1;
+  timed.peer = 2;
+  timed.bytes = 77;
+  timed.gradient_id = 9;
+  const TaskId plain = graph.Add(timed);
+  EXPECT_EQ(graph.data(plain), nullptr);  // timing-only: no side table
+  const size_t timing_only_bytes = graph.MemoryBytes();
+  EXPECT_EQ(timing_only_bytes, graph.tasks().capacity() * sizeof(TaskRecord));
+
+  int fired = 0;
+  SyncTask real = timed;
+  real.action = [&fired] { ++fired; };
+  real.payload = std::make_shared<PooledBytes>(nullptr, 5);
+  const TaskId with_data = graph.Add(std::move(real));
+  ASSERT_NE(graph.data(with_data), nullptr);
+  graph.data(with_data)->action();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(graph.data(with_data)->payload->size(), 5u);
+  EXPECT_FALSE(graph.data(with_data)->deliver);
+  // Earlier tasks get empty slots; the hot records are unchanged.
+  ASSERT_NE(graph.data(plain), nullptr);
+  EXPECT_TRUE(graph.data(plain)->empty());
+  const TaskRecord& record = graph.task(with_data);
+  EXPECT_EQ(record.type, PrimitiveType::kSend);
+  EXPECT_EQ(record.node, 1);
+  EXPECT_EQ(record.peer, 2);
+  EXPECT_EQ(record.bytes, 77u);
+  EXPECT_EQ(record.gradient_id, 9u);
+  EXPECT_EQ(record.end_time, kTaskNeverRan);
+  // A later timing-only task does not grow the side table.
+  const TaskId after = graph.Add(timed);
+  EXPECT_EQ(graph.data(after), nullptr);
 }
 
 TEST(TaskGraphTest, AcyclicityCheck) {
@@ -57,6 +126,62 @@ TEST(TaskGraphTest, AcyclicityCheck) {
   EXPECT_TRUE(graph.IsAcyclic());
   graph.AddDep(c, a);
   EXPECT_FALSE(graph.IsAcyclic());
+}
+
+// ------------------------------------------------------- graph memory
+
+TEST(TaskGraphMemoryTest, BuildersReserveExactCounts) {
+  for (const StrategyKind strategy :
+       {StrategyKind::kPs, StrategyKind::kRing, StrategyKind::kTree}) {
+    for (const int nodes : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 31, 64, 100}) {
+      for (const int partitions : {0, 1, 3, 8}) {
+        for (const bool compress : {false, true}) {
+          const SyncConfig config = BaseConfig(strategy, nodes);
+          GradientSync gradient = CompressedGradient(1 << 20, partitions);
+          gradient.compress = compress;
+          const SyncTaskCounts counts = CountSyncTasks(config, gradient);
+          TaskGraph graph;
+          AppendSyncTasks(config, gradient, &graph);
+          SCOPED_TRACE(testing::Message()
+                       << StrategyKindName(strategy) << " n=" << nodes
+                       << " k=" << partitions << " compress=" << compress);
+          EXPECT_EQ(graph.size(), counts.tasks);
+          EXPECT_EQ(graph.overflow_edges(), counts.overflow_edges);
+          // Reserved once, exactly: no regrowth slack, no side table.
+          EXPECT_EQ(graph.MemoryBytes(),
+                    counts.tasks * sizeof(TaskRecord) +
+                        counts.overflow_edges * sizeof(TaskGraph::Edge));
+        }
+      }
+    }
+  }
+}
+
+TEST(TaskGraphMemoryTest, AppendingToOneGraphKeepsCountsExact) {
+  // Several gradients in one graph (the engine tests do this): the
+  // reservation grows the arrays, and the counts still add up.
+  const SyncConfig config = BaseConfig(StrategyKind::kRing, 8);
+  TaskGraph graph;
+  SyncTaskCounts total;
+  for (int i = 0; i < 5; ++i) {
+    const GradientSync gradient = CompressedGradient(4096, 1 + i % 3);
+    const SyncTaskCounts counts = CountSyncTasks(config, gradient);
+    total.tasks += counts.tasks;
+    total.overflow_edges += counts.overflow_edges;
+    AppendSyncTasks(config, gradient, &graph);
+  }
+  EXPECT_EQ(graph.size(), total.tasks);
+  EXPECT_EQ(graph.overflow_edges(), total.overflow_edges);
+  EXPECT_TRUE(graph.IsAcyclic());
+}
+
+TEST(TaskGraphMemoryTest, CompressedPsGraphFitsEightyBytesPerTask) {
+  // Records, overflow edges and side table together, by capacity.
+  const SyncConfig config = BaseConfig(StrategyKind::kPs, 64);
+  TaskGraph graph;
+  AppendSyncTasks(config, CompressedGradient(64 << 20, 8), &graph);
+  ASSERT_GT(graph.size(), 3000u);
+  EXPECT_LE(graph.MemoryBytes(), 80 * graph.size());
 }
 
 // ------------------------------------------------------------- PS builder
@@ -99,7 +224,7 @@ TEST(PsBuilderTest, PartitionsSpreadAcrossAggregators) {
   AppendPsSyncTasks(config, CompressedGradient(4096, 4), &graph);
   // Each partition's barrier lands on a distinct node.
   std::set<int> aggregators;
-  for (const SyncTask& task : graph.tasks()) {
+  for (const TaskRecord& task : graph.tasks()) {
     if (task.type == PrimitiveType::kBarrier) {
       aggregators.insert(task.node);
     }
@@ -112,7 +237,7 @@ TEST(PsBuilderTest, WireBytesUseCompressionRate) {
   GradientSync gradient = CompressedGradient(32000, 1);
   TaskGraph graph;
   AppendPsSyncTasks(config, gradient, &graph);
-  for (const SyncTask& task : graph.tasks()) {
+  for (const TaskRecord& task : graph.tasks()) {
     if (task.type == PrimitiveType::kSend) {
       EXPECT_EQ(task.bytes, 1000u);  // 32000 / 32
     }
@@ -127,7 +252,7 @@ TEST(PsBuilderTest, TinyCompressedSendsKeepHeaderFloor) {
   GradientSync gradient = CompressedGradient(64, 1);
   TaskGraph graph;
   AppendPsSyncTasks(config, gradient, &graph);
-  for (const SyncTask& task : graph.tasks()) {
+  for (const TaskRecord& task : graph.tasks()) {
     if (task.type == PrimitiveType::kSend) {
       EXPECT_EQ(task.bytes, kMinWireBytes);
     }
@@ -167,7 +292,7 @@ TEST(RingBuilderTest, AggregationHopsAreChained) {
   TaskGraph graph;
   AppendRingSyncTasks(config, CompressedGradient(1024, 1), &graph);
   int roots = 0;
-  for (const SyncTask& task : graph.tasks()) {
+  for (const TaskRecord& task : graph.tasks()) {
     if (task.pending_deps == 0) {
       ++roots;
       // Only the very first aggregation-phase encode+send can be rootless.

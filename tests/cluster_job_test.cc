@@ -78,6 +78,35 @@ TEST(ClusterJobTest, ReplayFingerprintIsBitStable) {
   }
 }
 
+TEST(ClusterJobTest, SharedRegistryCarriesEngineTotals) {
+  // Each job's engine records into its own registry; the shared registry
+  // carries the cluster-wide sums under the single-job names.
+  auto run = RunClusterJobs(SmallFatTreeOptions(8, 2, 2));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->jobs.size(), 2u);
+  for (const char* name :
+       {"engine.encode_tasks", "engine.decode_tasks", "engine.merge_tasks",
+        "engine.send_tasks", "engine.encode_time_ns", "engine.decode_time_ns",
+        "engine.merge_time_ns", "engine.wire_bytes", "coordinator.batches",
+        "coordinator.transfers_batched",
+        "coordinator.batch_bucket_waste_bytes"}) {
+    uint64_t sum = 0;
+    for (const ClusterJobReport& job : run->jobs) {
+      ASSERT_NE(job.engine_metrics, nullptr);
+      sum += job.engine_metrics->counter_value(name);
+    }
+    EXPECT_EQ(run->metrics->counter_value(name), sum) << name;
+  }
+  for (const char* name : {"engine.encode_tasks", "engine.send_tasks",
+                           "engine.wire_bytes", "coordinator.batches"}) {
+    EXPECT_GT(run->metrics->counter_value(name), 0u) << name;
+    for (const ClusterJobReport& job : run->jobs) {
+      EXPECT_GT(job.engine_metrics->counter_value(name), 0u)
+          << job.name << " " << name;
+    }
+  }
+}
+
 TEST(ClusterJobTest, PlacementChangesTheSchedule) {
   ClusterJobsOptions striped = SmallFatTreeOptions(8, 2, 2);
   ClusterJobsOptions packed = striped;

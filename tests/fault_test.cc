@@ -447,7 +447,7 @@ TEST(BuilderTest, AppendSyncTasksOverRemapsOntoSurvivors) {
   EXPECT_TRUE(graph.IsAcyclic());
   bool uses_each[4] = {false, false, false, false};
   for (TaskId id = 0; id < graph.size(); ++id) {
-    const SyncTask& task = graph.task(id);
+    const TaskRecord& task = graph.task(id);
     ASSERT_NE(task.node, 1) << "task scheduled on the dead node";
     ASSERT_NE(task.peer, 1) << "task talks to the dead node";
     if (task.node >= 0) {

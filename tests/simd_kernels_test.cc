@@ -141,11 +141,9 @@ TEST(SimdKernelsTest, OnebitPackUnpackBitIdenticalAcrossTiers) {
       simd::OnebitUnpackSigns(packed.data(), n, -1.5f, 2.5f, out.data());
       simd::OnebitUnpackSignsAdd(packed.data(), n, -1.5f, 2.5f,
                                  accum.data());
-      EXPECT_EQ(0, std::memcmp(ref_out.data(), out.data(),
-                               n * sizeof(float)))
+      EXPECT_TRUE(SameBits(ref_out, out))
           << "n=" << n << " tier=" << SimdTierName(tier);
-      EXPECT_EQ(0, std::memcmp(ref_accum.data(), accum.data(),
-                               n * sizeof(float)))
+      EXPECT_TRUE(SameBits(ref_accum, accum))
           << "n=" << n << " tier=" << SimdTierName(tier);
     }
   }
@@ -176,11 +174,9 @@ TEST(SimdKernelsTest, TbqPackUnpackBitIdenticalAcrossTiers) {
         std::vector<float> out(n), accum(n, -0.75f);
         simd::TbqUnpackCodes(packed.data(), n, tau, out.data());
         simd::TbqUnpackCodesAdd(packed.data(), n, tau, accum.data());
-        EXPECT_EQ(0, std::memcmp(ref_out.data(), out.data(),
-                                 n * sizeof(float)))
+        EXPECT_TRUE(SameBits(ref_out, out))
             << "n=" << n << " tau=" << tau << " tier=" << SimdTierName(tier);
-        EXPECT_EQ(0, std::memcmp(ref_accum.data(), accum.data(),
-                                 n * sizeof(float)))
+        EXPECT_TRUE(SameBits(ref_accum, accum))
             << "n=" << n << " tau=" << tau << " tier=" << SimdTierName(tier);
       }
     }
@@ -289,19 +285,12 @@ TEST(SimdKernelsTest, Fp16DecodeAddMatchesAcrossTiers) {
     SimdTierGuard guard(tier);
     std::vector<float> accum(n, 0.125f);
     simd::Fp16DecodeAdd(halves.data(), n, accum.data());
-    EXPECT_EQ(0, std::memcmp(ref.data(), accum.data(), n * sizeof(float)))
+    EXPECT_TRUE(SameBits(ref, accum))
         << "tier=" << SimdTierName(tier);
   }
 }
 
 // ------------------------------------------------------------- terngrad
-
-// Bitwise equality of two float arrays, NaN payloads included.
-bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
 
 uint32_t FloatBits(float v) {
   uint32_t bits;

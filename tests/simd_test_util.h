@@ -3,6 +3,7 @@
 #ifndef HIPRESS_TESTS_SIMD_TEST_UTIL_H_
 #define HIPRESS_TESTS_SIMD_TEST_UTIL_H_
 
+#include <cstring>
 #include <vector>
 
 #include "src/common/simd.h"
@@ -19,6 +20,15 @@ inline std::vector<SimdTier> AvailableTiers() {
     tiers.push_back(SimdTier::kAvx512);
   }
   return tiers;
+}
+
+// Bitwise equality of two float arrays, NaN payloads included. Empty
+// arrays compare equal without touching their (possibly null) data.
+inline bool SameBits(const std::vector<float>& a,
+                     const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 // Forces the dispatch tier for the guard's lifetime.

@@ -225,18 +225,21 @@ void ConcatBuilder::AppendArray(ScalarType elem_type,
   if (elem_type == ScalarType::kFloat) {
     const size_t offset = buffer_.size();
     buffer_.resize(offset + values.size() * sizeof(float));
-    auto* out = reinterpret_cast<float*>(buffer_.data() + offset);
+    uint8_t* out = buffer_.data() + offset;
     for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = static_cast<float>(values[i]);
+      // The buffer offset need not be float-aligned: store bytewise.
+      const float value = static_cast<float>(values[i]);
+      std::memcpy(out + i * sizeof(float), &value, sizeof(float));
     }
     return;
   }
   if (elem_type == ScalarType::kInt32) {
     const size_t offset = buffer_.size();
     buffer_.resize(offset + values.size() * sizeof(int32_t));
-    auto* out = reinterpret_cast<int32_t*>(buffer_.data() + offset);
+    uint8_t* out = buffer_.data() + offset;
     for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = static_cast<int32_t>(values[i]);
+      const int32_t value = static_cast<int32_t>(values[i]);
+      std::memcpy(out + i * sizeof(int32_t), &value, sizeof(int32_t));
     }
     return;
   }

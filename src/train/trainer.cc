@@ -496,27 +496,28 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       size_t next = 0;
       bool in_flight = false;
     };
-    auto chain = std::make_shared<SequentialChain>();
+    // The chain and its pump live on this frame, which outlives sim.Run();
+    // the scheduled closures refer to them by reference.
+    SequentialChain chain;
     // Entries are referenced while in flight; pre-reserve so later
     // iterations' pushes never reallocate.
-    chain->entries.reserve(static_cast<size_t>(total_iterations) *
-                           units.size());
-    auto chain_pump = std::make_shared<std::function<void()>>();
-    *chain_pump = [&engine, &sim, chain, chain_pump] {
-      if (chain->in_flight || chain->next >= chain->entries.size() ||
-          !chain->entries[chain->next].ready) {
+    chain.entries.reserve(static_cast<size_t>(total_iterations) *
+                          units.size());
+    std::function<void()> chain_pump = [&engine, &sim, &chain, &chain_pump] {
+      if (chain.in_flight || chain.next >= chain.entries.size() ||
+          !chain.entries[chain.next].ready) {
         return;
       }
-      chain->in_flight = true;
-      auto& entry = chain->entries[chain->next];
-      ++chain->next;
-      sim.Schedule(entry.negotiation, [&engine, &entry, chain, chain_pump] {
-        engine.Execute(entry.graph, [&entry, chain, chain_pump] {
-          chain->in_flight = false;
+      chain.in_flight = true;
+      auto& entry = chain.entries[chain.next];
+      ++chain.next;
+      sim.Schedule(entry.negotiation, [&engine, &entry, &chain, &chain_pump] {
+        engine.Execute(entry.graph, [&entry, &chain, &chain_pump] {
+          chain.in_flight = false;
           if (entry.on_done) {
             entry.on_done();
           }
-          (*chain_pump)();
+          chain_pump();
         });
       });
     };
@@ -555,14 +556,14 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
                                     unit.ready_offset +
                                     options.launch_overhead;
           if (config.sequential_collectives) {
-            chain->entries.push_back(SequentialChain::Entry{
+            chain.entries.push_back(SequentialChain::Entry{
                 graph_ptr, unit.members * config.per_gradient_negotiation,
                 unit_done, false});
-            const size_t index = chain->entries.size() - 1;
+            const size_t index = chain.entries.size() - 1;
             sim.ScheduleAt(std::max(launch_at, sim.now()),
-                           [chain, index, chain_pump] {
-              chain->entries[index].ready = true;
-              (*chain_pump)();
+                           [&chain, index, &chain_pump] {
+              chain.entries[index].ready = true;
+              chain_pump();
             });
             continue;
           }
@@ -929,6 +930,12 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       report.timeline_origin = iter_start;
     }
 
+    // The per-unit launchers the starter below installs. They live on this
+    // frame, which outlives sim.Run(), so the closures that re-enter them
+    // (recovery re-executes, the ordered-collectives pump) hold references.
+    std::function<void(size_t, TaskGraph*)> execute_unit;
+    std::function<void()> pump;
+
     // One starter event at the iteration boundary submits compute and arms
     // the per-gradient sync launches, so all offsets are iteration-relative.
     sim.ScheduleAt(iter_start, [&] {
@@ -979,17 +986,15 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
         // graphs execute concurrently and pipeline. A graph cancelled by a
         // peer failure is rebuilt over the survivors and re-executed, so
         // the BSP barrier completes degraded instead of hanging.
-        auto execute_unit =
-            std::make_shared<std::function<void(size_t, TaskGraph*)>>();
-        *execute_unit = [&engine, &sim, &config, &units, &graphs, &report,
-                         &recovery_started_at, &recoveries_counter,
-                         &current_members, complete_one,
-                         execute_unit](size_t i, TaskGraph* graph_ptr) {
+        execute_unit = [&engine, &sim, &config, &units, &graphs, &report,
+                        &recovery_started_at, &recoveries_counter,
+                        &current_members, complete_one,
+                        &execute_unit](size_t i, TaskGraph* graph_ptr) {
           engine.Execute(
               graph_ptr,
               [&engine, &sim, &config, &units, &graphs, &report,
                &recovery_started_at, &recoveries_counter, &current_members,
-               complete_one, execute_unit, i](const Status& status) {
+               complete_one, &execute_unit, i](const Status& status) {
                 if (status.ok()) {
                   complete_one();
                   return;
@@ -1013,7 +1018,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
                                     rebuilt.get());
                 TaskGraph* rebuilt_ptr = rebuilt.get();
                 graphs.push_back(std::move(rebuilt));
-                (*execute_unit)(i, rebuilt_ptr);
+                execute_unit(i, rebuilt_ptr);
               });
         };
         for (size_t i = 0; i < units.size(); ++i) {
@@ -1021,8 +1026,8 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
               static_cast<double>(forward + units[i].ready_offset) *
               launch_stretch) + options.launch_overhead;
           TaskGraph* graph_ptr = graph_ptrs[i];
-          sim.Schedule(launch_at, [execute_unit, i, graph_ptr] {
-            (*execute_unit)(i, graph_ptr);
+          sim.Schedule(launch_at, [&execute_unit, i, graph_ptr] {
+            execute_unit(i, graph_ptr);
           });
         }
       } else {
@@ -1041,9 +1046,8 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           negotiation.push_back(unit.members *
                                 config.per_gradient_negotiation);
         }
-        auto pump = std::make_shared<std::function<void()>>();
-        *pump = [&engine, &sim, graph_ptrs, negotiation, state, complete_one,
-                 pump] {
+        pump = [&engine, &sim, graph_ptrs, negotiation, state, complete_one,
+                &pump] {
           if (state->in_flight || state->next >= graph_ptrs.size() ||
               !state->ready[state->next]) {
             return;
@@ -1055,11 +1059,11 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           // Per-tensor negotiation happens on the critical path between
           // collectives (Horovod's coordination cycle).
           sim.Schedule(negotiation[index],
-                       [&engine, graph_ptr, state, complete_one, pump] {
-            engine.Execute(graph_ptr, [state, complete_one, pump] {
+                       [&engine, graph_ptr, state, complete_one, &pump] {
+            engine.Execute(graph_ptr, [state, complete_one, &pump] {
               state->in_flight = false;
               complete_one();
-              (*pump)();
+              pump();
             });
           });
         };
@@ -1067,9 +1071,9 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           const SimTime launch_at = static_cast<SimTime>(
               static_cast<double>(forward + units[i].ready_offset) *
               launch_stretch) + options.launch_overhead;
-          sim.Schedule(launch_at, [state, i, pump] {
+          sim.Schedule(launch_at, [state, i, &pump] {
             state->ready[i] = true;
-            (*pump)();
+            pump();
           });
         }
       }

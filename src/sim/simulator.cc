@@ -17,7 +17,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 Simulator::Simulator() : spill_pool_(nullptr, "sim") {
   buckets_.assign(kBuckets, nullptr);
-  outer_buckets_.assign(kBuckets, nullptr);
+  outer_buckets_.resize(kBuckets);
   width_shift_ = 16;  // 65.5 us buckets, ~134 ms frame before re-framing
   frame_start_ = 0;
   frame_end_ = static_cast<SimTime>(kBuckets) << width_shift_;
@@ -103,8 +103,7 @@ void Simulator::PushSpill(EventRecord* record) {
 }
 
 void Simulator::PushOuter(int bucket, EventRecord* record) {
-  record->next = outer_buckets_[bucket];
-  outer_buckets_[bucket] = record;
+  outer_buckets_[bucket].push_back(OuterEntry{record->when, record});
   outer_bitmap_[bucket >> 6] |= uint64_t{1} << (bucket & 63);
 }
 
@@ -272,30 +271,19 @@ void Simulator::RebuildFromSpill() {
 
 void Simulator::BuildFrameFromOuter(int bucket) {
   outer_cursor_ = bucket;
-  EventRecord* chain = outer_buckets_[bucket];
-  outer_buckets_[bucket] = nullptr;
-  outer_bitmap_[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
+  std::vector<OuterEntry>& entries = outer_buckets_[bucket];
   const SimTime bucket_end =
       outer_start_ + (static_cast<SimTime>(bucket + 1) << outer_shift_);
-  // Single cold pass over the chain (records scheduled long ago are cache
-  // misses; prefetch the next link while inspecting the current one),
-  // collecting into scratch so the distribution pass below runs warm.
-  SimTime lo = chain->when;
-  rebuild_scratch_.clear();
-  while (chain != nullptr) {
-    EventRecord* next = chain->next;
-    if (next != nullptr) {
-      __builtin_prefetch(next);
-    }
-    chain->next = nullptr;
-    lo = std::min(lo, chain->when);
-    rebuild_scratch_.push_back(chain);
-    chain = next;
+  // The times sit in the dense entry array: finding the minimum touches no
+  // record (records scheduled long ago are cache misses).
+  SimTime lo = entries.front().when;
+  for (const OuterEntry& entry : entries) {
+    lo = std::min(lo, entry.when);
   }
-  const uint64_t count = rebuild_scratch_.size();
-  // Anchor the frame at the chain minimum (so it always admits at least one
-  // event) and size the width like RebuildFromSpill: span-fit over the rest
-  // of this outer bucket, then density-narrowed toward kTargetChain.
+  const uint64_t count = entries.size();
+  // Anchor the frame at the bucket minimum (so it always admits at least
+  // one event) and size the width like RebuildFromSpill: span-fit over the
+  // rest of this outer bucket, then density-narrowed toward kTargetChain.
   const SimTime span = bucket_end - lo;
   int shift = kMinWidthShift;
   while (shift < kMaxWidthShift && (span >> shift) >= kBuckets) {
@@ -311,22 +299,40 @@ void Simulator::BuildFrameFromOuter(int bucket) {
   width_shift_ = shift;
   active_bucket_ = -1;
   active_end_ = frame_start_;
-  // Distribute: in-frame records go to fine buckets; the tail re-chains
-  // into this same outer bucket, which the cursor rescans after the frame
-  // drains. The frame never reaches past bucket_end, so Enqueue routing
-  // into later outer buckets stays consistent.
-  for (EventRecord* record : rebuild_scratch_) {
-    if (record->when < frame_end_) {
+  // Distribute: in-frame records chain into fine buckets (prefetched a few
+  // entries ahead, since each is written); the tail stays in this same
+  // outer bucket, compacted in place, and the cursor rescans it after the
+  // frame drains. The frame never reaches past bucket_end, so Enqueue
+  // routing into later outer buckets stays consistent.
+  constexpr size_t kPrefetchAhead = 8;
+  const size_t n = entries.size();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchAhead < n &&
+        entries[i + kPrefetchAhead].when < frame_end_) {
+      __builtin_prefetch(entries[i + kPrefetchAhead].record, 1);
+    }
+    const OuterEntry entry = entries[i];
+    if (entry.when < frame_end_) {
       const int fb =
-          static_cast<int>((record->when - frame_start_) >> width_shift_);
-      record->next = buckets_[fb];
-      buckets_[fb] = record;
+          static_cast<int>((entry.when - frame_start_) >> width_shift_);
+      entry.record->next = buckets_[fb];
+      buckets_[fb] = entry.record;
       bucket_bitmap_[fb >> 6] |= uint64_t{1} << (fb & 63);
     } else {
-      PushOuter(bucket, record);
+      entries[kept++] = entry;
     }
   }
-  rebuild_scratch_.clear();
+  entries.resize(kept);
+  if (kept == 0) {
+    outer_bitmap_[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
+  }
+  // Hand back capacity the leftovers do not need, so no bucket keeps its
+  // peak size; a small array stays, so steady churn through the calendar
+  // (a few events per bucket) does not allocate on every carve.
+  if (entries.capacity() > std::max(kOuterRetainedEntries, 2 * kept)) {
+    entries.shrink_to_fit();
+  }
 }
 
 void Simulator::NarrowFrame(int bucket) {
@@ -430,11 +436,10 @@ void Simulator::DrainAll() {
       drop(record);
     }
     buckets_[b] = nullptr;
-    for (EventRecord* record = outer_buckets_[b]; record != nullptr;
-         record = record->next) {
-      drop(record);
+    for (const OuterEntry& entry : outer_buckets_[b]) {
+      drop(entry.record);
     }
-    outer_buckets_[b] = nullptr;
+    outer_buckets_[b].clear();
   }
   for (EventRecord* record : spill_queue_) {
     drop(record);

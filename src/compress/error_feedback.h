@@ -28,10 +28,13 @@ class ErrorFeedback {
   explicit ErrorFeedback(std::shared_ptr<const Compressor> compressor)
       : compressor_(std::move(compressor)) {}
 
-  // Applies error feedback for the gradient identified by `key` and encodes
-  // the corrected gradient into `out`. The stored residual is updated.
-  Status EncodeWithFeedback(const std::string& key,
-                            std::span<const float> gradient, ByteBuffer* out);
+  // Runs the recipe once for the gradient identified by `key`: writes
+  // `corrected` (as long as `gradient`, not overlapping it; callers send
+  // it), encodes it into `payload` and updates the stored residual. A
+  // failed encode leaves the residual as it was; a failed decode, which
+  // only a faulty codec can cause, leaves it undefined.
+  Status Apply(const std::string& key, std::span<const float> gradient,
+               std::span<float> corrected, ByteBuffer* payload);
 
   // Residual currently stored for `key` (empty if none yet).
   std::span<const float> residual(const std::string& key) const;

@@ -58,11 +58,21 @@ StatusOr<std::unique_ptr<DistTrainer>> DistTrainer::Create(
   }
   trainer->dataflow_ = std::make_unique<DataflowRunner>(
       config.strategy, trainer->codec_.get());
-  // Preallocate the momentum state here rather than lazily inside the
-  // first ApplySgd: its buffers are permanent, and taking them out of the
-  // pool up front keeps the first training step the only one that faults
-  // fresh blocks in (the steady-state zero-miss invariant).
+  // Preallocate the momentum state, the per-worker gradients and the sync
+  // inputs here rather than lazily inside the first step: their buffers
+  // are permanent, and taking them out of the pool up front keeps the
+  // first training step the only one that faults fresh blocks in (the
+  // steady-state zero-miss invariant).
   trainer->velocity_ = trainer->model_.MakeGradients();
+  for (int w = 0; w < config.num_workers; ++w) {
+    trainer->worker_grads_.push_back(trainer->model_.MakeGradients());
+  }
+  for (const Tensor& param : trainer->model_.parameters()) {
+    trainer->sync_inputs_.emplace_back();
+    for (int w = 0; w < config.num_workers; ++w) {
+      trainer->sync_inputs_.back().emplace_back(param.name(), param.size());
+    }
+  }
   Rng root(config.task.seed);
   for (int w = 0; w < config.num_workers; ++w) {
     trainer->worker_rngs_.push_back(root.Fork(static_cast<uint64_t>(w) + 1));
@@ -83,22 +93,13 @@ StatusOr<double> DistTrainer::Step() {
   const auto compute_start = Clock::now();
   pool_misses_before_step_ = BufferPool::Global().stats().misses;
 
-  // Per-worker local gradients: allocated on the first step, re-zeroed
-  // afterwards so their pooled storage is reused every iteration.
-  if (worker_grads_.empty()) {
-    worker_grads_.resize(workers);
-    for (int w = 0; w < workers; ++w) {
-      worker_grads_[w] = model_.MakeGradients();
-    }
-  } else {
-    for (auto& grads : worker_grads_) {
-      for (Tensor& grad : grads) {
-        grad.Fill(0.0f);
-      }
-    }
-  }
   double loss_sum = 0.0;
   for (int w = 0; w < workers; ++w) {
+    // Zeroed right before the backward accumulates into them, while the
+    // zeroed lines are still in cache.
+    for (Tensor& grad : worker_grads_[w]) {
+      grad.Fill(0.0f);
+    }
     config_.task.Sample(worker_rngs_[w], config_.batch_per_worker,
                         &sample_inputs_, &sample_labels_);
     loss_sum += model_.BackwardCrossEntropy(sample_inputs_, sample_labels_,
@@ -111,29 +112,22 @@ StatusOr<double> DistTrainer::Step() {
   // Synchronize parameter by parameter (layer-wise, like the paper).
   std::vector<Tensor> synced(num_params);
   for (size_t p = 0; p < num_params; ++p) {
-    sync_inputs_.clear();
-    sync_inputs_.reserve(workers);
+    std::vector<Tensor>& inputs = sync_inputs_[p];
     for (int w = 0; w < workers; ++w) {
-      Tensor& grad = worker_grads_[w][p];
+      const Tensor& grad = worker_grads_[w][p];
       if (codec_ != nullptr) {
-        // Error feedback: feed corrected = grad + residual into the sync;
-        // EncodeWithFeedback updates the worker's residual with the same
+        // Error feedback writes corrected = grad + residual into the sync
+        // input and updates the worker's residual with the same
         // deterministic encode the dataflow will apply.
-        Tensor corrected(grad.name(), grad.size());
-        const auto residual = feedback_[w]->residual(grad.name());
-        for (size_t i = 0; i < grad.size(); ++i) {
-          corrected[i] =
-              grad[i] + (i < residual.size() ? residual[i] : 0.0f);
-        }
-        RETURN_IF_ERROR(feedback_[w]->EncodeWithFeedback(
-            grad.name(), grad.span(), &feedback_scratch_));
-        sync_inputs_.push_back(std::move(corrected));
+        RETURN_IF_ERROR(feedback_[w]->Apply(grad.name(), grad.span(),
+                                            inputs[w].span(),
+                                            &feedback_scratch_));
       } else {
-        sync_inputs_.push_back(grad);
+        inputs[w] = grad;
       }
     }
     ASSIGN_OR_RETURN(std::vector<Tensor> outputs,
-                     dataflow_->Run(sync_inputs_, config_.partitions));
+                     dataflow_->Run(inputs, config_.partitions));
     synced[p] = std::move(outputs[0]);
     synced[p].Scale(1.0f / static_cast<float>(workers));
   }

@@ -107,10 +107,10 @@ class DistTrainer {
   int eval_batch_ = 256;
   // Per-step scratch, hoisted out of Step() so the sync hot path reuses
   // the same (pool-backed) storage every iteration instead of churning.
-  std::vector<std::vector<Tensor>> worker_grads_;
+  std::vector<std::vector<Tensor>> worker_grads_;  // [worker][parameter]
   std::vector<float> sample_inputs_;
   std::vector<int> sample_labels_;
-  std::vector<Tensor> sync_inputs_;
+  std::vector<std::vector<Tensor>> sync_inputs_;  // [parameter][worker]
   ByteBuffer feedback_scratch_;
   size_t pool_misses_before_step_ = 0;
 };

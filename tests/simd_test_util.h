@@ -4,6 +4,7 @@
 #define HIPRESS_TESTS_SIMD_TEST_UTIL_H_
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/common/simd.h"
@@ -24,8 +25,7 @@ inline std::vector<SimdTier> AvailableTiers() {
 
 // Bitwise equality of two float arrays, NaN payloads included. Empty
 // arrays compare equal without touching their (possibly null) data.
-inline bool SameBits(const std::vector<float>& a,
-                     const std::vector<float>& b) {
+inline bool SameBits(std::span<const float> a, std::span<const float> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);

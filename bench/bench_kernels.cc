@@ -36,6 +36,8 @@
 #include "src/compll/codegen.h"
 #include "src/compress/registry.h"
 #include "src/compress/simd_kernels.h"
+#include "src/minidnn/mlp.h"
+#include "src/minidnn/tanh.h"
 #include "src/tensor/tensor.h"
 
 // Hand-written intrinsics references for the generated-vs-hand-tuned panel
@@ -151,6 +153,73 @@ BENCHMARK_CAPTURE(BM_Encode, oss_dgc, "oss-dgc")
     ->Arg(8 << 20)
     ->MinTime(0.05)
     ->Unit(benchmark::kMillisecond);
+
+// The MLP forward (docs/KERNELS.md): its tanh over one hidden layer of
+// real-dp's width at each tier against the host libm's tanhf, and whole
+// forward passes at real-dp's shape (64 inputs, 2,048 hidden, 16 classes),
+// one sample (the training steps) and 256 (the evaluations).
+constexpr int kHiddenWidth = 2048;
+
+std::vector<float> PreActivations(size_t n) {
+  Rng rng(n);
+  std::vector<float> values(n);
+  for (float& v : values) {
+    v = static_cast<float>(rng.NextGaussian());
+  }
+  return values;
+}
+
+void BM_Tanh(benchmark::State& state, SimdTier tier) {
+  if (tier > SimdHostTier()) {
+    state.SkipWithError("tier not supported by this host");
+    return;
+  }
+  const std::vector<float> input = PreActivations(kHiddenWidth);
+  std::vector<float> values(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), values.begin());
+    TanhInPlace(values.data(), values.size(), tier);
+    benchmark::DoNotOptimize(values.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kHiddenWidth);
+}
+
+void BM_TanhLibm(benchmark::State& state) {
+  const std::vector<float> input = PreActivations(kHiddenWidth);
+  std::vector<float> values(input.size());
+  for (auto _ : state) {
+    for (size_t i = 0; i < input.size(); ++i) {
+      values[i] = std::tanh(input[i]);
+    }
+    benchmark::DoNotOptimize(values.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kHiddenWidth);
+}
+
+BENCHMARK_CAPTURE(BM_Tanh, scalar, SimdTier::kScalar);
+BENCHMARK_CAPTURE(BM_Tanh, avx2, SimdTier::kAvx2);
+BENCHMARK_CAPTURE(BM_Tanh, avx512, SimdTier::kAvx512);
+BENCHMARK(BM_TanhLibm);
+
+// Items are samples.
+void BM_MlpForward(benchmark::State& state) {
+  MlpConfig config;
+  config.input_dim = 64;
+  config.hidden_dim = kHiddenWidth;
+  config.output_dim = 16;
+  const Mlp mlp(config);
+  const int batch = static_cast<int>(state.range(0));
+  const std::vector<float> inputs =
+      PreActivations(static_cast<size_t>(batch) * config.input_dim);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mlp.Forward(inputs, batch).data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * batch);
+}
+
+BENCHMARK(BM_MlpForward)->Arg(1)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Round-trip verification + BENCH_kernels.json

@@ -9,17 +9,25 @@
 
 namespace hipress {
 
-void SyntheticTask::Sample(Rng& rng, int batch, std::vector<float>* inputs,
-                           std::vector<int>* labels) const {
-  inputs->assign(static_cast<size_t>(batch) * input_dim, 0.0f);
-  labels->assign(batch, 0);
-  // Class means on deterministic unit directions derived from the task
-  // seed, so every worker/eval batch shares the same geometry.
+std::vector<float> SyntheticTask::ClassMeans() const {
   Rng mean_rng(seed);
   std::vector<float> means(static_cast<size_t>(num_classes) * input_dim);
   for (float& m : means) {
     m = static_cast<float>(mean_rng.NextGaussian());
   }
+  return means;
+}
+
+void SyntheticTask::Sample(Rng& rng, int batch, std::vector<float>* inputs,
+                           std::vector<int>* labels) const {
+  SampleAround(ClassMeans(), rng, batch, inputs, labels);
+}
+
+void SyntheticTask::SampleAround(const std::vector<float>& means, Rng& rng,
+                                 int batch, std::vector<float>* inputs,
+                                 std::vector<int>* labels) const {
+  inputs->assign(static_cast<size_t>(batch) * input_dim, 0.0f);
+  labels->assign(batch, 0);
   for (int s = 0; s < batch; ++s) {
     const int label = static_cast<int>(rng.NextBounded(num_classes));
     (*labels)[s] = label;
@@ -73,12 +81,14 @@ StatusOr<std::unique_ptr<DistTrainer>> DistTrainer::Create(
       trainer->sync_inputs_.back().emplace_back(param.name(), param.size());
     }
   }
+  trainer->task_means_ = config.task.ClassMeans();
   Rng root(config.task.seed);
   for (int w = 0; w < config.num_workers; ++w) {
     trainer->worker_rngs_.push_back(root.Fork(static_cast<uint64_t>(w) + 1));
   }
-  config.task.Sample(trainer->eval_rng_, trainer->eval_batch_,
-                     &trainer->eval_inputs_, &trainer->eval_labels_);
+  config.task.SampleAround(trainer->task_means_, trainer->eval_rng_,
+                           trainer->eval_batch_, &trainer->eval_inputs_,
+                           &trainer->eval_labels_);
   return trainer;
 }
 
@@ -100,8 +110,9 @@ StatusOr<double> DistTrainer::Step() {
     for (Tensor& grad : worker_grads_[w]) {
       grad.Fill(0.0f);
     }
-    config_.task.Sample(worker_rngs_[w], config_.batch_per_worker,
-                        &sample_inputs_, &sample_labels_);
+    config_.task.SampleAround(task_means_, worker_rngs_[w],
+                              config_.batch_per_worker, &sample_inputs_,
+                              &sample_labels_);
     loss_sum += model_.BackwardCrossEntropy(sample_inputs_, sample_labels_,
                                             config_.batch_per_worker,
                                             &worker_grads_[w]);

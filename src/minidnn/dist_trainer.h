@@ -29,9 +29,17 @@ struct SyntheticTask {
   float cluster_spread = 0.9f;  // noise stddev around each class mean
   uint64_t seed = 0x7357;
 
+  // The class means, num_classes x input_dim, drawn from `seed`, so every
+  // worker and eval batch shares the same geometry.
+  std::vector<float> ClassMeans() const;
+
   // Samples a batch: inputs (batch x input_dim) and labels.
   void Sample(Rng& rng, int batch, std::vector<float>* inputs,
               std::vector<int>* labels) const;
+  // The same batch as Sample, around means already drawn by ClassMeans().
+  void SampleAround(const std::vector<float>& means, Rng& rng, int batch,
+                    std::vector<float>* inputs,
+                    std::vector<int>* labels) const;
 };
 
 struct DistTrainConfig {
@@ -100,6 +108,7 @@ class DistTrainer {
   // convergence-preserving recipe).
   std::vector<std::unique_ptr<ErrorFeedback>> feedback_;
   std::unique_ptr<DataflowRunner> dataflow_;
+  std::vector<float> task_means_;  // config_.task.ClassMeans()
   std::vector<Rng> worker_rngs_;
   Rng eval_rng_;
   std::vector<float> eval_inputs_;

@@ -6,6 +6,7 @@
 #include "src/common/buffer_pool.h"
 #include "src/common/logging.h"
 #include "src/common/simd.h"
+#include "src/minidnn/tanh.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(HIPRESS_FORCE_SCALAR)
@@ -120,9 +121,9 @@ struct LaneKernel {
   AffineLanesFn affine = nullptr;
 };
 
-LaneKernel ActiveLaneKernel() {
+LaneKernel LaneKernelFor(SimdTier tier) {
 #ifdef HIPRESS_MLP_SIMD_X86
-  switch (ActiveSimdTier()) {
+  switch (tier) {
     case SimdTier::kAvx512:
       return {16, AffineLanesAvx512};
     case SimdTier::kAvx2:
@@ -160,8 +161,10 @@ ForwardState RunForward(const MlpConfig& config,
 
   // Whole blocks of samples go through the vector tier with the block kept
   // transposed ([feature][sample]) between the layers; the rest one by one.
+  // tanh runs at the same tier, with the bits of every other tier.
   int s = 0;
-  const LaneKernel kernel = ActiveLaneKernel();
+  const SimdTier tier = ActiveSimdTier();
+  const LaneKernel kernel = LaneKernelFor(tier);
   if (kernel.lanes > 0 && batch >= kernel.lanes) {
     const size_t lanes = static_cast<size_t>(kernel.lanes);
     PooledFloats xt = ws.floats(in * lanes);
@@ -177,11 +180,10 @@ ForwardState RunForward(const MlpConfig& config,
         }
       }
       kernel.affine(w1, b1, xt.data(), hid, in, ht.data());
+      TanhInPlace(ht.data(), hid * lanes, tier);
       for (int j = 0; j < hid; ++j) {
         for (size_t l = 0; l < lanes; ++l) {
-          const float a = std::tanh(ht[j * lanes + l]);
-          ht[j * lanes + l] = a;
-          h[l * hid + j] = a;
+          h[l * hid + j] = ht[j * lanes + l];
         }
       }
       kernel.affine(w2, b2, ht.data(), out, hid, zt.data());
@@ -197,9 +199,7 @@ ForwardState RunForward(const MlpConfig& config,
     float* h = &state.hidden[static_cast<size_t>(s) * hid];
     float* z = &state.logits[static_cast<size_t>(s) * out];
     AffineRows(w1, b1, x, hid, in, h);
-    for (int j = 0; j < hid; ++j) {
-      h[j] = std::tanh(h[j]);
-    }
+    TanhInPlace(h, hid, tier);
     AffineRows(w2, b2, h, out, hid, z);
   }
   return state;

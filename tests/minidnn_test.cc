@@ -140,6 +140,24 @@ TEST(SyntheticTaskTest, DeterministicAndLabeledInRange) {
   }
 }
 
+TEST(SyntheticTaskTest, SamplingAroundDrawnMeansIsSample) {
+  SyntheticTask task;
+  const std::vector<float> means = task.ClassMeans();
+  Rng rng1(3);
+  Rng rng2(3);
+  std::vector<float> a;
+  std::vector<float> b;
+  std::vector<int> la;
+  std::vector<int> lb;
+  // Two batches each, so the sample stream must also advance alike.
+  for (int batch : {5, 9}) {
+    task.Sample(rng1, batch, &a, &la);
+    task.SampleAround(means, rng2, batch, &b, &lb);
+    EXPECT_TRUE(SameBits(a, b));
+    EXPECT_EQ(la, lb);
+  }
+}
+
 DistTrainConfig BaseConfig() {
   DistTrainConfig config;
   config.num_workers = 4;

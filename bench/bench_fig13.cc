@@ -5,7 +5,7 @@
 //
 // Substitution (see DESIGN.md): the paper trains LSTM (perplexity 86.28)
 // and ResNet50 (accuracy 77.11%) on 32 GPUs. We train a real MLP on a
-// synthetic classification task through the real CaSync dataflow + codecs
+// synthetic classification task through CaSync's task graphs + codecs
 // with error feedback, and combine the measured steps-to-target with the
 // per-iteration times of the corresponding simulated systems (Ring vs
 // HiPress-CaSync-Ring(DGC), BytePS vs HiPress-CaSync-PS(TernGrad)).

@@ -1,5 +1,5 @@
 // convergence_demo — Figure 13 in miniature: train the same (real) model
-// with and without gradient compression through the real CaSync dataflow
+// with and without gradient compression through CaSync's task graphs
 // and watch both reach the same accuracy, with the compressed run cheaper
 // per iteration.
 //

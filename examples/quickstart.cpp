@@ -1,14 +1,14 @@
 // Quickstart: the three layers of HiPress in ~100 lines.
 //
 //   1. Compress a gradient with each built-in algorithm (CompLL library).
-//   2. Synchronize real tensors across simulated workers (CaSync dataflow).
+//   2. Synchronize real tensors across simulated workers (CaSync engine).
 //   3. Simulate distributed training end to end and read the metrics.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build &&
 //               ./build/examples/quickstart
 #include <cstdio>
 
-#include "src/casync/dataflow.h"
+#include "src/casync/real_sync.h"
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/compress/registry.h"
@@ -49,34 +49,38 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // 2. CaSync dataflow: 4 workers, real tensors, PS with onebit.
+  // 2. CaSync on real tensors: 4 workers, PS with onebit. The engine runs
+  //    the same task graph the simulator times, so one run gives both the
+  //    synchronized gradient and its simulated sync time.
   // ------------------------------------------------------------------
   std::printf("\n== 2. compressed gradient synchronization (PS, 4 workers) ==\n");
   auto codec = CreateCompressor("onebit");
+  RealGradient layer0;
   std::vector<Tensor> worker_grads;
+  Tensor exact("exact", 1024);
   for (int w = 0; w < 4; ++w) {
     Rng worker_rng(100 + w);
-    Tensor tensor("layer0", 1024);
+    Tensor& tensor = worker_grads.emplace_back("layer0", 1024);
     tensor.FillGaussian(worker_rng);
-    worker_grads.push_back(std::move(tensor));
+    exact.Add(tensor);
   }
-  DataflowRunner runner(StrategyKind::kPs, codec->get());
-  auto outputs = runner.Run(worker_grads, /*partitions=*/2);
-  if (!outputs.ok()) {
-    std::printf("  sync failed: %s\n", outputs.status().ToString().c_str());
+  for (const Tensor& grad : worker_grads) {
+    layer0.inputs.push_back(grad.span());
+  }
+  Tensor synced("synced", 1024);
+  layer0.result = synced.span();
+  SyncConfig ps;  // the default strategy
+  ps.num_nodes = 4;
+  RealSync sync(ps, codec->get());
+  auto sync_time = sync.Run({&layer0, 1}, /*partitions=*/2);
+  if (!sync_time.ok()) {
+    std::printf("  sync failed: %s\n", sync_time.status().ToString().c_str());
     return 1;
   }
-  Tensor exact("exact", 1024);
-  for (const Tensor& grad : worker_grads) {
-    exact.Add(grad);
-  }
-  std::printf("  replicas identical: %s\n",
-              MaxAbsDiff((*outputs)[0].span(), (*outputs)[3].span()) == 0.0
-                  ? "yes"
-                  : "NO");
-  std::printf("  rms vs exact sum:   %.4f (onebit is lossy; error feedback "
+  std::printf("  simulated sync:   %.3f ms\n", ToMillis(*sync_time));
+  std::printf("  rms vs exact sum: %.4f (onebit is lossy; error feedback "
               "recovers it across steps)\n",
-              RmsDiff((*outputs)[0].span(), exact.span()));
+              RmsDiff(synced.span(), exact.span()));
 
   // ------------------------------------------------------------------
   // 3. End-to-end training simulation: Bert-large on 16 nodes.

@@ -16,15 +16,26 @@
 // Decode-into-aggregate is modelled fused (Section 5's decode/merge fusion):
 // compressed arrivals emit a single decode-cost task; explicit merge tasks
 // appear only on the raw path.
+//
+// Given a SyncData binding, the same builders also move real bytes: every
+// task they emit carries an action doing its share of the work, so the
+// engine that times a graph also computes its result. Without one, the
+// graph holds timing records only.
 #ifndef HIPRESS_SRC_CASYNC_BUILDER_H_
 #define HIPRESS_SRC_CASYNC_BUILDER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "src/casync/config.h"
 #include "src/casync/task.h"
+#include "src/common/buffer_pool.h"
+#include "src/common/status.h"
+#include "src/compress/compressor.h"
+#include "src/tensor/tensor.h"
 
 namespace hipress {
 
@@ -40,6 +51,45 @@ struct GradientSync {
 // Minimum bytes on the wire for a compressed partition (codec headers).
 inline constexpr uint64_t kMinWireBytes = 16;
 
+// Buffers the actions of data-bound graphs work in: encoded wire payloads
+// and the partial aggregates of inner tree nodes, drawn from the global
+// pool and returned to it when the workspace goes. It must outlive every
+// graph bound to it.
+class SyncWorkspace {
+ public:
+  ByteBuffer* Wire() { return &wires_.emplace_back(); }
+  std::span<float> Floats(size_t count) {
+    return floats_.emplace_back(nullptr, count).span();
+  }
+  // Keeps the first failed codec call.
+  void Check(const Status& status) {
+    if (status_.ok()) {
+      status_ = status;
+    }
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  std::deque<ByteBuffer> wires_;
+  std::deque<PooledFloats> floats_;
+  Status status_;
+};
+
+// Real data bound to one gradient's sync graph. Partition p of k covers the
+// p-th of k element ranges, the remainder going to the leading ones; a
+// partition with no elements does nothing. The binding, its buffers and
+// the codec must outlive the graph's execution.
+struct SyncData {
+  // One gradient per node, each the size of `result`.
+  std::span<const std::span<const float>> inputs;
+  // Receives the element-wise sum of the inputs, or, compressed, each
+  // partition's decode(encode(sum)).
+  std::span<float> result;
+  // Non-null exactly when GradientSync::compress is set.
+  const Compressor* codec = nullptr;
+  SyncWorkspace* workspace = nullptr;
+};
+
 // Exact sizes of the DAG AppendSyncTasks builds for `gradient`: tasks, and
 // overflow edges (out-edges after each task's first, TaskGraph's second
 // array). Each builder reserves them before appending.
@@ -53,9 +103,10 @@ SyncTaskCounts CountSyncTasks(const SyncConfig& config,
 // Appends the synchronization task DAG for `gradient` to `graph`,
 // dispatching on config.strategy. Tasks become runnable when the engine
 // executes the graph, so callers launch the graph at the moment the
-// gradient is ready.
+// gradient is ready. With `data`, the tasks also carry the actions that
+// synchronize it; the records and edges are the same either way.
 void AppendSyncTasks(const SyncConfig& config, const GradientSync& gradient,
-                     TaskGraph* graph);
+                     TaskGraph* graph, const SyncData* data = nullptr);
 
 // Degraded-mode variant: builds the same strategy topology over only the
 // physical nodes listed in `nodes` (the survivors after a node failure),
@@ -66,14 +117,16 @@ void AppendSyncTasksOver(const SyncConfig& config, const GradientSync& gradient,
                          const std::vector<int>& nodes, TaskGraph* graph);
 
 void AppendPsSyncTasks(const SyncConfig& config, const GradientSync& gradient,
-                       TaskGraph* graph);
+                       TaskGraph* graph, const SyncData* data = nullptr);
 void AppendRingSyncTasks(const SyncConfig& config,
-                         const GradientSync& gradient, TaskGraph* graph);
+                         const GradientSync& gradient, TaskGraph* graph,
+                         const SyncData* data = nullptr);
 // Binomial-tree reduce + broadcast: ceil(log2 N) rounds each way, root
 // rotated per partition. Demonstrates that CaSync's primitives compose
 // into topologies beyond the paper's two (Section 3.1's generality claim).
 void AppendTreeSyncTasks(const SyncConfig& config,
-                         const GradientSync& gradient, TaskGraph* graph);
+                         const GradientSync& gradient, TaskGraph* graph,
+                         const SyncData* data = nullptr);
 
 }  // namespace hipress
 

@@ -48,8 +48,8 @@ inline constexpr uint32_t kNoEdge = std::numeric_limits<uint32_t>::max();
 // Real-data fields of a task. Pure timing runs leave all three empty, and
 // the graph then stores none of them (TaskGraph::data).
 struct TaskData {
-  // Action executed when the task completes (integration tests move
-  // actual tensors through the graph).
+  // Action executed when the task completes: the task's real work when a
+  // builder binds the graph to data (SyncData, src/casync/builder.h).
   std::function<void()> action;
   // Pooled wire payload for kSend: the engine moves it into the outgoing
   // NetMessage (or the coordinator's batch frame), so the block travels by

@@ -5,7 +5,7 @@
 // CompLL kernels beat the OSS baselines (PAPER.md §4-5). This is the CPU
 // reproduction of that discipline. A size-bucketed, thread-safe BufferPool
 // recycles raw byte blocks; Tensor/ByteBuffer storage, codec scratch,
-// dataflow aggregation buffers and network payloads all draw from it, so
+// sync wire and aggregation buffers and network payloads all draw from it, so
 // after one warm-up iteration the steady-state sync path performs zero
 // fresh heap allocations ("mem.pool_misses" stops moving — the invariant
 // tests/buffer_pool_test.cc asserts).
@@ -237,8 +237,8 @@ using PooledBytes = PooledArray<uint8_t>;
 using PooledFloats = PooledArray<float>;
 using PooledU32 = PooledArray<uint32_t>;
 
-// Per-sync scratch facade: one object to thread through a dataflow round
-// or codec call, stamping out pooled arrays from a single pool.
+// Scratch facade: one object to thread through a codec call, stamping out
+// pooled arrays from a single pool.
 class Workspace {
  public:
   explicit Workspace(BufferPool* pool = &BufferPool::Global())

@@ -14,7 +14,14 @@
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(HIPRESS_FORCE_SCALAR)
 #define HIPRESS_SIMD_X86 1
+// GCC 12's AVX-512 headers self-initialize their "undefined" vectors
+// (`__m512i __Y = __Y;`), which the uninitialized-use warnings flag once
+// the intrinsics are inlined: a false positive, silenced for them only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #define HIPRESS_TARGET_AVX2 __attribute__((target("avx2,fma,f16c")))
 #define HIPRESS_TARGET_AVX512 \
   __attribute__((target("avx512f,avx512bw,avx512vl,f16c")))

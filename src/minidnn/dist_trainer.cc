@@ -63,23 +63,38 @@ StatusOr<std::unique_ptr<DistTrainer>> DistTrainer::Create(
     for (int w = 0; w < config.num_workers; ++w) {
       trainer->feedback_.push_back(std::make_unique<ErrorFeedback>(shared));
     }
+    size_t largest = 0;
+    for (const Tensor& param : trainer->model_.parameters()) {
+      largest = std::max(largest, param.size());
+    }
+    trainer->feedback_scratch_.Reserve(
+        trainer->codec_->MaxEncodedSize(largest));
   }
-  trainer->dataflow_ = std::make_unique<DataflowRunner>(
-      config.strategy, trainer->codec_.get());
-  // Preallocate the momentum state, the per-worker gradients and the sync
-  // inputs here rather than lazily inside the first step: their buffers
-  // are permanent, and taking them out of the pool up front keeps the
-  // first training step the only one that faults fresh blocks in (the
-  // steady-state zero-miss invariant).
+  SyncConfig sync;
+  sync.strategy = config.strategy;
+  sync.num_nodes = config.num_workers;
+  trainer->sync_ = std::make_unique<RealSync>(sync, trainer->codec_.get());
+  // Preallocate the momentum state, the per-worker gradients, the sync
+  // buffers and (above) the error-feedback payload here rather than lazily
+  // inside the first step: their buffers are permanent, and taking them
+  // out of the pool up front keeps the first training step the only one
+  // that faults fresh blocks in (the steady-state zero-miss invariant).
   trainer->velocity_ = trainer->model_.MakeGradients();
+  trainer->synced_ = trainer->model_.MakeGradients();
   for (int w = 0; w < config.num_workers; ++w) {
     trainer->worker_grads_.push_back(trainer->model_.MakeGradients());
-  }
-  for (const Tensor& param : trainer->model_.parameters()) {
-    trainer->sync_inputs_.emplace_back();
-    for (int w = 0; w < config.num_workers; ++w) {
-      trainer->sync_inputs_.back().emplace_back(param.name(), param.size());
+    if (trainer->codec_ != nullptr) {
+      trainer->corrected_.push_back(trainer->model_.MakeGradients());
     }
+  }
+  const auto& sent = trainer->codec_ != nullptr ? trainer->corrected_
+                                                : trainer->worker_grads_;
+  for (size_t p = 0; p < trainer->synced_.size(); ++p) {
+    RealGradient& gradient = trainer->sync_gradients_.emplace_back();
+    for (const std::vector<Tensor>& worker : sent) {
+      gradient.inputs.push_back(worker[p].span());
+    }
+    gradient.result = trainer->synced_[p].span();
   }
   trainer->task_means_ = config.task.ClassMeans();
   Rng root(config.task.seed);
@@ -94,7 +109,6 @@ StatusOr<std::unique_ptr<DistTrainer>> DistTrainer::Create(
 
 StatusOr<double> DistTrainer::Step() {
   const int workers = config_.num_workers;
-  const size_t num_params = model_.parameters().size();
   using Clock = std::chrono::steady_clock;
   const auto elapsed_us = [](Clock::time_point since) {
     return std::chrono::duration<double, std::micro>(Clock::now() - since)
@@ -120,27 +134,20 @@ StatusOr<double> DistTrainer::Step() {
   metrics_.histogram("dist.compute_us").Observe(elapsed_us(compute_start));
   const auto sync_start = Clock::now();
 
-  // Synchronize parameter by parameter (layer-wise, like the paper).
-  std::vector<Tensor> synced(num_params);
-  for (size_t p = 0; p < num_params; ++p) {
-    std::vector<Tensor>& inputs = sync_inputs_[p];
-    for (int w = 0; w < workers; ++w) {
+  // Error feedback writes corrected = grad + residual into the sync input
+  // and updates the worker's residual with an encode of the whole tensor.
+  for (size_t w = 0; w < corrected_.size(); ++w) {
+    for (size_t p = 0; p < corrected_[w].size(); ++p) {
       const Tensor& grad = worker_grads_[w][p];
-      if (codec_ != nullptr) {
-        // Error feedback writes corrected = grad + residual into the sync
-        // input and updates the worker's residual with the same
-        // deterministic encode the dataflow will apply.
-        RETURN_IF_ERROR(feedback_[w]->Apply(grad.name(), grad.span(),
-                                            inputs[w].span(),
-                                            &feedback_scratch_));
-      } else {
-        inputs[w] = grad;
-      }
+      RETURN_IF_ERROR(feedback_[w]->Apply(grad.name(), grad.span(),
+                                          corrected_[w][p].span(),
+                                          &feedback_scratch_));
     }
-    ASSIGN_OR_RETURN(std::vector<Tensor> outputs,
-                     dataflow_->Run(inputs, config_.partitions));
-    synced[p] = std::move(outputs[0]);
-    synced[p].Scale(1.0f / static_cast<float>(workers));
+  }
+  // Every parameter's task graph runs at once (layer-wise, like the paper).
+  RETURN_IF_ERROR(sync_->Run(sync_gradients_, config_.partitions).status());
+  for (Tensor& synced : synced_) {
+    synced.Scale(1.0f / static_cast<float>(workers));
   }
 
   metrics_.histogram("dist.sync_us").Observe(elapsed_us(sync_start));
@@ -159,7 +166,7 @@ StatusOr<double> DistTrainer::Step() {
   metrics_.gauge("mem.step_pool_misses")
       .Set(static_cast<double>(pool.misses - pool_misses_before_step_));
 
-  model_.ApplySgd(synced, config_.learning_rate, config_.momentum,
+  model_.ApplySgd(synced_, config_.learning_rate, config_.momentum,
                   &velocity_);
   return loss_sum / workers;
 }

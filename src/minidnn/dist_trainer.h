@@ -1,6 +1,7 @@
 // Distributed MiniDNN trainer: W logical workers, per-worker data shards,
-// real gradient synchronization through the CaSync dataflow (PS or Ring)
-// with optional compression + error feedback.
+// real gradient synchronization on the CaSync engine (RealSync: PS, ring or
+// tree task graphs over real bytes) with optional compression + error
+// feedback.
 //
 // Reproduces the convergence-validation methodology of Figure 13: train the
 // same model (a) without compression and (b) with a CompLL algorithm, and
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "src/casync/dataflow.h"
+#include "src/casync/real_sync.h"
 #include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -107,7 +108,7 @@ class DistTrainer {
   // Per-worker error feedback (residuals are local state, Section 2.4's
   // convergence-preserving recipe).
   std::vector<std::unique_ptr<ErrorFeedback>> feedback_;
-  std::unique_ptr<DataflowRunner> dataflow_;
+  std::unique_ptr<RealSync> sync_;
   std::vector<float> task_means_;  // config_.task.ClassMeans()
   std::vector<Rng> worker_rngs_;
   Rng eval_rng_;
@@ -119,7 +120,11 @@ class DistTrainer {
   std::vector<std::vector<Tensor>> worker_grads_;  // [worker][parameter]
   std::vector<float> sample_inputs_;
   std::vector<int> sample_labels_;
-  std::vector<std::vector<Tensor>> sync_inputs_;  // [parameter][worker]
+  // Compressed runs sync the error-corrected gradients, uncompressed runs
+  // the workers' gradients themselves.
+  std::vector<std::vector<Tensor>> corrected_;  // [worker][parameter]
+  std::vector<Tensor> synced_;                  // [parameter]
+  std::vector<RealGradient> sync_gradients_;    // [parameter]
   ByteBuffer feedback_scratch_;
   size_t pool_misses_before_step_ = 0;
 };

@@ -265,8 +265,8 @@ TEST(ByteBufferDeathTest, ReadAtPastEndAborts) {
 
 // The tentpole invariant: after one warm-up iteration, a compressed
 // multi-node training step performs zero pool misses — every sync-path
-// buffer (gradients, codec scratch, wire payloads, dataflow aggregation)
-// is recycled. DistTrainer mirrors the global pool's per-step miss delta
+// buffer (gradients, codec scratch, the sync's wire and partial-aggregate
+// buffers) is recycled. DistTrainer mirrors the global pool's per-step miss delta
 // into its registry as "mem.step_pool_misses".
 TEST(BufferPoolSteadyStateTest, CompressedTrainingStopsMissingAfterWarmup) {
   DistTrainConfig config;

@@ -41,6 +41,10 @@ void* operator new(std::size_t size) {
 namespace hipress {
 namespace {
 
+// The counting operator new above is malloc-backed and its delete frees,
+// but GCC 12 pairs the inlined malloc with a sized delete and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 struct Cluster {
   explicit Cluster(const SyncConfig& config) : net(&sim, config.num_nodes, config.net) {
     for (int node = 0; node < config.num_nodes; ++node) {
@@ -56,6 +60,7 @@ struct Cluster {
   std::vector<GpuDevice*> gpus;
   std::unique_ptr<CaSyncEngine> engine;
 };
+#pragma GCC diagnostic pop
 
 SyncConfig TestConfig(int nodes) {
   SyncConfig config;

@@ -1,210 +1,16 @@
-// Real data through the simulated engine: attach buffer-moving actions to a
-// PS task graph, execute it on the discrete-event cluster, and check the
-// result matches (a) the exact sum for raw sync and (b) the functional
-// DataflowRunner for compressed sync. This pins down that the engine's
-// asynchronous, dependency-driven execution preserves the dataflow ordering
-// (Figure 2's correctness property), not just the timing.
+// Task actions on the simulated engine: a task's action runs only after
+// every task it depends on has completed, whatever the resource it waits
+// for. The builders' real-data actions (tests/real_sync_test.cc) rely on
+// this ordering.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 
-#include "src/casync/dataflow.h"
 #include "src/casync/engine.h"
 #include "src/common/rng.h"
-#include "src/compress/registry.h"
 
 namespace hipress {
 namespace {
-
-// Builds a one-partition PS graph by hand with actions that move real
-// tensors, mirroring builder.cc's compressed structure.
-struct PsDataflowFixture {
-  explicit PsDataflowFixture(int workers, size_t elements,
-                             const Compressor* codec)
-      : codec_(codec) {
-    Rng root(99);
-    for (int w = 0; w < workers; ++w) {
-      Rng rng = root.Fork(static_cast<uint64_t>(w));
-      Tensor tensor("g", elements);
-      tensor.FillGaussian(rng);
-      inputs.push_back(std::move(tensor));
-      outputs.emplace_back("out", elements);
-    }
-    aggregate.assign(elements, 0.0f);
-  }
-
-  // Graph: worker w encodes its gradient -> send -> aggregator decodes+adds
-  // -> barrier -> aggregator encodes aggregate -> send -> worker decodes.
-  void Build(TaskGraph* graph, int aggregator) {
-    const int workers = static_cast<int>(inputs.size());
-    const size_t elements = inputs[0].size();
-
-    // Aggregator's local shard seeds the aggregate.
-    SyncTask seed;
-    seed.type = PrimitiveType::kMerge;
-    seed.node = aggregator;
-    seed.bytes = elements * 4;
-    seed.action = [this, aggregator] {
-      for (size_t i = 0; i < aggregate.size(); ++i) {
-        aggregate[i] += inputs[aggregator][i];
-      }
-    };
-    const TaskId seed_id = graph->Add(seed);
-
-    SyncTask barrier;
-    barrier.type = PrimitiveType::kBarrier;
-    barrier.node = aggregator;
-    const TaskId barrier_id = graph->Add(barrier);
-    graph->AddDep(seed_id, barrier_id);
-
-    for (int w = 0; w < workers; ++w) {
-      if (w == aggregator) {
-        continue;
-      }
-      SyncTask enc;
-      enc.type = PrimitiveType::kEncode;
-      enc.node = w;
-      enc.bytes = elements * 4;
-      enc.action = [this, w] {
-        ASSERT_TRUE(codec_->Encode(inputs[w].span(), &push_wire[w]).ok());
-      };
-      const TaskId enc_id = graph->Add(enc);
-
-      SyncTask send;
-      send.type = PrimitiveType::kSend;
-      send.node = w;
-      send.peer = aggregator;
-      send.bytes = 64;
-      const TaskId send_id = graph->Add(send);
-      graph->AddDep(enc_id, send_id);
-
-      SyncTask dec;
-      dec.type = PrimitiveType::kDecode;
-      dec.node = aggregator;
-      dec.bytes = elements * 4;
-      dec.action = [this, w] {
-        ASSERT_TRUE(
-            codec_->DecodeAdd(push_wire[w], std::span<float>(aggregate))
-                .ok());
-      };
-      const TaskId dec_id = graph->Add(dec);
-      graph->AddDep(send_id, dec_id);
-      graph->AddDep(dec_id, barrier_id);
-    }
-
-    SyncTask enc_back;
-    enc_back.type = PrimitiveType::kEncode;
-    enc_back.node = aggregator;
-    enc_back.bytes = elements * 4;
-    enc_back.action = [this] {
-      ASSERT_TRUE(
-          codec_->Encode(std::span<const float>(aggregate), &pull_wire)
-              .ok());
-    };
-    const TaskId enc_back_id = graph->Add(enc_back);
-    graph->AddDep(barrier_id, enc_back_id);
-
-    for (int w = 0; w < workers; ++w) {
-      SyncTask dec;
-      dec.type = PrimitiveType::kDecode;
-      dec.node = w;
-      dec.bytes = elements * 4;
-      dec.action = [this, w] {
-        ASSERT_TRUE(codec_->Decode(pull_wire, outputs[w].span()).ok());
-      };
-      const TaskId dec_id = graph->Add(dec);
-      if (w == aggregator) {
-        // Co-located replica: decodes the local buffer, no network hop.
-        graph->AddDep(enc_back_id, dec_id);
-        continue;
-      }
-      SyncTask send;
-      send.type = PrimitiveType::kSend;
-      send.node = aggregator;
-      send.peer = w;
-      send.bytes = 64;
-      const TaskId send_id = graph->Add(send);
-      graph->AddDep(enc_back_id, send_id);
-      graph->AddDep(send_id, dec_id);
-    }
-  }
-
-  const Compressor* codec_;
-  std::vector<Tensor> inputs;
-  std::vector<Tensor> outputs;
-  std::vector<float> aggregate;
-  std::map<int, ByteBuffer> push_wire;
-  ByteBuffer pull_wire;
-};
-
-TEST(EngineDataflowTest, CompressedPsThroughEngineMatchesDataflowRunner) {
-  const int workers = 4;
-  const size_t elements = 512;
-  auto codec = CreateCompressor("onebit");
-  ASSERT_TRUE(codec.ok());
-
-  PsDataflowFixture fixture(workers, elements, codec->get());
-
-  SyncConfig config;
-  config.strategy = StrategyKind::kPs;
-  config.num_nodes = workers;
-  config.compression = true;
-  config.algorithm = "onebit";
-  config.bulk = false;
-
-  Simulator sim;
-  Network net(&sim, workers, config.net);
-  std::vector<std::unique_ptr<GpuDevice>> storage;
-  std::vector<GpuDevice*> gpus;
-  for (int node = 0; node < workers; ++node) {
-    storage.push_back(std::make_unique<GpuDevice>(&sim, node));
-    gpus.push_back(storage.back().get());
-  }
-  CaSyncEngine engine(&sim, &net, gpus, config);
-
-  TaskGraph graph;
-  fixture.Build(&graph, /*aggregator=*/1);
-  ASSERT_TRUE(graph.IsAcyclic());
-  bool done = false;
-  engine.Execute(&graph, [&] { done = true; });
-  sim.Run();
-  ASSERT_TRUE(done);
-
-  // Functional reference: one-partition PS with the same codec. The
-  // aggregation order may differ, but onebit's decode values depend only
-  // on the set of pushed payloads, which are identical.
-  DataflowRunner runner(StrategyKind::kPs, codec->get());
-  // Align the reference's aggregator choice (partition 0 -> node 0) by
-  // comparing decoded values rather than byte layouts: all replicas must
-  // agree with decode(encode(aggregate)).
-  std::vector<float> expected(elements, 0.0f);
-  for (int w = 0; w < workers; ++w) {
-    if (w == 1) {
-      continue;
-    }
-    ByteBuffer wire;
-    ASSERT_TRUE(codec->get()->Encode(fixture.inputs[w].span(), &wire).ok());
-    ASSERT_TRUE(
-        codec->get()->DecodeAdd(wire, std::span<float>(expected)).ok());
-  }
-  for (size_t i = 0; i < elements; ++i) {
-    expected[i] += fixture.inputs[1][i];
-  }
-  ByteBuffer expected_wire;
-  ASSERT_TRUE(
-      codec->get()->Encode(std::span<const float>(expected), &expected_wire)
-          .ok());
-  std::vector<float> expected_out(elements);
-  ASSERT_TRUE(codec->get()->Decode(expected_wire, expected_out).ok());
-
-  for (int w = 0; w < workers; ++w) {
-    EXPECT_EQ(MaxAbsDiff(fixture.outputs[w].span(),
-                         std::span<const float>(expected_out)),
-              0.0)
-        << "worker " << w;
-  }
-}
 
 TEST(EngineDataflowTest, ActionsNeverRunBeforeDependencies) {
   // Randomized DAG property: record completion order; every edge must be

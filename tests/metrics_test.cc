@@ -241,6 +241,10 @@ TEST(MetricsTest, ConcurrentIncrementsDontLoseCounts) {
   EXPECT_EQ(histogram.count(), 40000u);
 }
 
+// GCC 12 flags the inlined copy in `"g" + std::to_string(i)` as an
+// overlapping memcpy: a known false positive of its -Wrestrict.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 TEST(MetricsTest, ConcurrentWritersAndJsonReaderAreSafe) {
   // Counter/gauge/histogram writers racing a ToJson snapshotter: the TSan
   // CI job runs this to prove the registry's cross-thread contract.
@@ -276,6 +280,7 @@ TEST(MetricsTest, ConcurrentWritersAndJsonReaderAreSafe) {
           .at("count")->number(),
       15000.0);
 }
+#pragma GCC diagnostic pop
 
 // -------------------------------------------------------- JSON round-trip
 
@@ -321,6 +326,9 @@ TEST(MetricsTest, JsonRoundTripThroughParser) {
   EXPECT_DOUBLE_EQ(buckets[1]->object().at("count")->number(), 1.0);
 }
 
+// The same GCC 12 -Wrestrict false positive as above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 TEST(MetricsTest, JsonNumbersRoundTripBitExactly) {
   // JsonNumber emits std::to_chars shortest round-trip literals: parsing
   // what ToJson wrote must reproduce the stored double bit-for-bit, with
@@ -350,6 +358,7 @@ TEST(MetricsTest, JsonNumbersRoundTripBitExactly) {
         << "gauge g" << i << " drifted: " << parsed << " vs " << values[i];
   }
 }
+#pragma GCC diagnostic pop
 
 TEST(MetricsTest, JsonEscapesMetricNames) {
   MetricsRegistry registry;

@@ -3,7 +3,10 @@
 // beats the OSS co-designs, optimizations stack).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/hipress/hipress.h"
+#include "src/net/fault.h"
 
 namespace hipress {
 namespace {
@@ -256,6 +259,150 @@ TEST(JitterTest, SeCoPaPlansStillHelpUnderBandwidthVariance) {
   auto hipress = RunTrainingSimulation(options);
   ASSERT_TRUE(base.ok() && hipress.ok());
   EXPECT_GT(hipress->report.throughput, base->report.throughput * 1.4);
+}
+
+// ------------------------------------------------------- golden schedules
+// FNV-1a over everything SimulateTraining reports per iteration: every
+// StepRecord, the measured iteration time and throughput, the engine
+// counters, the adaptive summary and the replicated model-state
+// fingerprint. Simulated time only, so the hashes are machine independent.
+// A change to how the trainer is organized must not move any of them.
+
+uint64_t FnvMix(uint64_t hash, uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    hash ^= (value >> (8 * b)) & 0xffULL;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+uint64_t FnvDouble(uint64_t hash, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return FnvMix(hash, bits);
+}
+
+uint64_t ScheduleHash(const TrainReport& report) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (const StepRecord& step : report.steps) {
+    hash = FnvMix(hash, static_cast<uint64_t>(step.iteration));
+    for (const double ms :
+         {step.iteration_ms, step.compute_ms, step.encode_ms, step.merge_ms,
+          step.send_ms, step.recv_ms, step.decode_ms, step.wait_ms,
+          step.straggler_skew_ms}) {
+      hash = FnvDouble(hash, ms);
+    }
+    hash = FnvMix(hash, static_cast<uint64_t>(step.path_tasks));
+    hash = FnvMix(hash, step.degraded ? 1 : 0);
+  }
+  hash = FnvMix(hash, static_cast<uint64_t>(report.iteration_time));
+  hash = FnvDouble(hash, report.throughput);
+  const EngineStats& stats = report.engine_stats;
+  for (const uint64_t value :
+       {stats.encode_tasks, stats.decode_tasks, stats.merge_tasks,
+        stats.send_tasks, static_cast<uint64_t>(stats.encode_time),
+        static_cast<uint64_t>(stats.decode_time),
+        static_cast<uint64_t>(stats.merge_time), stats.wire_bytes}) {
+    hash = FnvMix(hash, value);
+  }
+  hash = FnvMix(hash, static_cast<uint64_t>(report.adaptive.replans));
+  hash = FnvMix(hash, static_cast<uint64_t>(report.adaptive.codec_switches));
+  return FnvMix(hash, report.membership.model_fingerprint);
+}
+
+enum class GoldenPlan { kPreset, kRaw, kFixedCompress };
+
+struct TrainerGoldenCase {
+  const char* name;
+  const char* system;
+  const char* model;
+  GoldenPlan plan = GoldenPlan::kPreset;
+  int staleness = 0;
+  bool straggler = false;
+  bool adaptive = false;
+  const char* faults = "";
+  uint64_t hash = 0;
+};
+
+TEST(TrainerGoldenScheduleTest, FingerprintsMatchRecordedSchedules) {
+  using P = GoldenPlan;
+  const TrainerGoldenCase cases[] = {
+      {"ps/raw", "hipress-ps", "resnet50", P::kRaw, 0, false, false,
+       "", 0x6b86e4f5c03ad704ULL},
+      {"ps/fixed", "hipress-ps", "resnet50", P::kFixedCompress, 0, false, false,
+       "", 0x113cda6f689f5c49ULL},
+      {"ps/secopa", "hipress-ps", "resnet50", P::kPreset, 0, false, false,
+       "", 0xcaa1bf68f7d40602ULL},
+      {"ring/raw", "hipress-ring", "resnet50", P::kRaw, 0, false, false,
+       "", 0x16186d3b84a67bb8ULL},
+      {"ring/fixed", "hipress-ring", "resnet50", P::kFixedCompress, 0, false,
+       false, "", 0xc2d572cf28f07245ULL},
+      {"ring/secopa", "hipress-ring", "resnet50", P::kPreset, 0, false, false,
+       "", 0x7263058c1fc16892ULL},
+      {"tree/raw", "hipress-tree", "resnet50", P::kRaw, 0, false, false,
+       "", 0xf26d975c62aff9b1ULL},
+      {"tree/fixed", "hipress-tree", "resnet50", P::kFixedCompress, 0, false,
+       false, "", 0x83efcc8bb0413cd8ULL},
+      {"tree/secopa", "hipress-tree", "resnet50", P::kPreset, 0, false, false,
+       "", 0xd200fdf96880cdb2ULL},
+      // Fusion buckets + Horovod's ordered collectives.
+      {"ring/fused-sequential", "ring", "resnet50", P::kPreset, 0, false, false,
+       "", 0x7545d3e01d5170b1ULL},
+      {"ring-oss", "ring-oss", "resnet50", P::kPreset, 0, false, false,
+       "", 0xbece81d1091fd468ULL},
+      {"ssp1", "hipress-ps", "resnet50", P::kPreset, 1, false, false,
+       "", 0x79f336fcfa13c284ULL},
+      {"ssp2", "hipress-ps", "resnet50", P::kPreset, 2, false, false,
+       "", 0xc811e5d9d8ce649ULL},
+      {"ssp1/sequential", "ring", "resnet50", P::kPreset, 1, false, false,
+       "", 0xca9b739b19473a31ULL},
+      {"ssp2/sequential", "ring", "resnet50", P::kPreset, 2, false, false,
+       "", 0xca72368a13dedddcULL},
+      {"straggler", "hipress-ring", "resnet50", P::kPreset, 0, true, false,
+       "", 0x713bb1534faa8c7bULL},
+      {"adaptive", "hipress-ps", "vgg19", P::kPreset, 0, false, true,
+       "degrade=*-*@30-1000000@0.5", 0x1ded54be257a656aULL},
+      {"crash", "hipress-ps", "resnet50", P::kPreset, 0, false, false,
+       "crash=2@60", 0x4a553c1e00d89ba7ULL},
+      {"join-leave", "hipress-ps", "resnet50", P::kPreset, 0, false, false,
+       "standby=3,join=3@60,leave=1@250", 0x4879480657c37fffULL},
+  };
+  for (const TrainerGoldenCase& c : cases) {
+    auto profile = GetModelProfile(c.model);
+    ASSERT_TRUE(profile.ok()) << c.name;
+    // 10 Gbps makes resnet50 communication-bound, so the sync schedule
+    // (not just compute) sets every iteration's end.
+    ClusterSpec cluster = ClusterSpec::Ec2(4);
+    cluster.net.link_bandwidth = Bandwidth::Gbps(10.0);
+    if (*c.faults != '\0') {
+      auto faults = ParseFaultSpec(c.faults);
+      ASSERT_TRUE(faults.ok()) << c.name << ": " << faults.status();
+      cluster.net.faults = *faults;
+    }
+    auto config =
+        MakeSystemConfig(c.system, cluster, c.adaptive ? "fp16" : "onebit");
+    ASSERT_TRUE(config.ok()) << c.name;
+    if (c.plan == GoldenPlan::kRaw) {
+      config->compression = false;
+    } else if (c.plan == GoldenPlan::kFixedCompress) {
+      config->secopa = false;
+    }
+    TrainOptions options;
+    options.iterations = c.adaptive ? 6 : 4;
+    options.staleness = c.staleness;
+    if (c.straggler) {
+      options.straggler_node = 1;
+      options.straggler_factor = 1.5;
+    }
+    if (c.adaptive) {
+      options.adaptive.enabled = true;
+      options.adaptive.candidate_algorithms = {"onebit"};
+    }
+    auto run = SimulateTraining(*profile, *config, options);
+    ASSERT_TRUE(run.ok()) << c.name << ": " << run.status();
+    const uint64_t hash = ScheduleHash(*run);
+    EXPECT_EQ(hash, c.hash) << c.name << std::hex << " schedule 0x" << hash;
+  }
 }
 
 TEST(PresetsTest, UnknownSystemIsRejected) {

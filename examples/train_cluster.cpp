@@ -34,8 +34,10 @@
 //   --topology fattree:3:8      same, 8 hosts per rack (default 16)
 // --jobs K splits the cluster into K concurrent training jobs sharing one
 // simulated fabric (docs/TOPOLOGY.md); --placement picks node striping
-// across racks (default, adversarial) or packed per-rack blocks. Faults
-// are single-job only and are rejected when --jobs > 1.
+// across racks (default, adversarial) or packed per-rack blocks. Every job
+// prices its gradients as a single-job run does. Crash and membership
+// faults, and the ordered-collectives systems (ring, ring-oss), are
+// single-job only and are rejected when --jobs > 1.
 // --flight-record FILE arms the always-on flight recorder's dump path: a
 // fatal error, retry-budget exhaustion, a watchdog trip or normal run end
 // writes the per-node black-box rings there; decode with

@@ -123,8 +123,11 @@ std::vector<std::vector<int>> AssignJobNodes(int num_nodes, int num_jobs,
                                              JobPlacement placement);
 
 // Runs every job to completion on one shared cluster; deterministic for
-// fixed options. Fault injection is not supported here — multi-job runs
-// model contention, not churn (single-job SimulateTraining covers faults).
+// fixed options. Jobs are validated and planned by the code
+// SimulateTraining uses (src/train/job_plan.h). Crash and membership
+// faults and sequential_collectives systems (ring, ring-oss) are rejected:
+// multi-job runs model contention, not churn, and have no
+// ordered-collectives pump.
 StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options);
 
 }  // namespace hipress

@@ -218,16 +218,11 @@ void BulkCoordinator::Flush(int32_t link) {
           : 0;
   bucket_waste_bytes_ += waste;
 
-  if (batches_metric_ != nullptr) {
-    batches_metric_->Increment();
-    transfers_metric_->Increment(batch.size());
-    waste_metric_->Increment(waste);
-    batch_bytes_->Observe(static_cast<double>(batch_bytes));
-    for (const Pending& pending : batch) {
-      queue_delay_us_->Observe(
-          static_cast<double>(sim_->now() - pending.enqueued_at) /
-          kMicrosecond);
-    }
+  batch_bytes_.Observe(static_cast<double>(batch_bytes));
+  for (const Pending& pending : batch) {
+    queue_delay_us_.Observe(
+        static_cast<double>(sim_->now() - pending.enqueued_at) /
+        kMicrosecond);
   }
   if (spans_ != nullptr) {
     // A coordinator round: from the first transfer queued on this link to
@@ -273,6 +268,14 @@ void BulkCoordinator::Flush(int32_t link) {
   net_->Send(std::move(message), [this, slot](const NetMessage& delivered) {
     OnBatchDelivered(slot, delivered);
   });
+}
+
+void BulkCoordinator::PublishMetrics() {
+  batches_metric_.Publish(batches_sent_);
+  transfers_metric_.Publish(transfers_batched_);
+  waste_metric_.Publish(bucket_waste_bytes_);
+  batch_bytes_.Publish();
+  queue_delay_us_.Publish();
 }
 
 void BulkCoordinator::OnBatchDelivered(int32_t slot,

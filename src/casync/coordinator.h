@@ -106,7 +106,10 @@ class BulkCoordinator {
   // "coordinator.batch_bytes", "coordinator.queue_delay_us") plus the
   // bucket-padding counter ("coordinator.batch_bucket_waste_bytes");
   // `spans` (optional) receives one coordinator-round span per flushed
-  // batch on the source node's track.
+  // batch on the source node's track. Flush only bumps the coordinator's
+  // own tallies (batches_sent() and friends); they are published into
+  // `metrics` each time the simulator's Run()/RunUntil() returns and when
+  // the coordinator is destroyed (Simulator::PublishHook).
   //
   // `size_threshold` rounds up to the containing BufferPool bucket
   // (BucketCapacity), so a size-triggered flush produces a frame that fits
@@ -121,16 +124,22 @@ class BulkCoordinator {
         timeout_(timeout),
         spans_(spans),
         num_nodes_(net->num_nodes()),
-        link_rows_(num_nodes_) {
+        link_rows_(num_nodes_),
+        publish_hook_(sim, [this] { PublishMetrics(); }) {
     if (metrics != nullptr) {
-      batches_metric_ = &metrics->counter("coordinator.batches");
-      transfers_metric_ = &metrics->counter("coordinator.transfers_batched");
-      waste_metric_ = &metrics->counter("coordinator.batch_bucket_waste_bytes");
-      batch_bytes_ = &metrics->histogram("coordinator.batch_bytes",
-                                         HistogramBuckets::DefaultBytes());
-      queue_delay_us_ = &metrics->histogram("coordinator.queue_delay_us");
+      batches_metric_ =
+          CounterPublisher(&metrics->counter("coordinator.batches"));
+      transfers_metric_ = CounterPublisher(
+          &metrics->counter("coordinator.transfers_batched"));
+      waste_metric_ = CounterPublisher(
+          &metrics->counter("coordinator.batch_bucket_waste_bytes"));
+      batch_bytes_ = LocalHistogram(&metrics->histogram(
+          "coordinator.batch_bytes", HistogramBuckets::DefaultBytes()));
+      queue_delay_us_ =
+          LocalHistogram(&metrics->histogram("coordinator.queue_delay_us"));
     }
   }
+  ~BulkCoordinator() { PublishMetrics(); }
 
   // Routes flushed batches through `channel` (reliable transport) instead
   // of the raw network; batch completions then carry the channel's Status,
@@ -214,6 +223,7 @@ class BulkCoordinator {
   std::shared_ptr<PooledBytes> BuildFrame(const std::vector<Pending>& batch);
   static void DispatchFrame(const NetMessage& message,
                             std::vector<Pending>& batch);
+  void PublishMetrics();
 
   Simulator* sim_;
   Network* net_;
@@ -221,11 +231,13 @@ class BulkCoordinator {
   uint64_t size_threshold_;
   SimTime timeout_;
   SpanCollector* spans_ = nullptr;
-  Counter* batches_metric_ = nullptr;
-  Counter* transfers_metric_ = nullptr;
-  Counter* waste_metric_ = nullptr;
-  Histogram* batch_bytes_ = nullptr;
-  Histogram* queue_delay_us_ = nullptr;
+  // Registry counters the tallies at the end publish into; unbound when
+  // no registry is wired.
+  CounterPublisher batches_metric_;
+  CounterPublisher transfers_metric_;
+  CounterPublisher waste_metric_;
+  LocalHistogram batch_bytes_;
+  LocalHistogram queue_delay_us_;
   int num_nodes_;
   // Dense link table: link_rows_[src][dst] -> index into links_, or -1
   // until the link first carries a transfer. A source's row of num_nodes_
@@ -250,6 +262,7 @@ class BulkCoordinator {
   uint64_t batches_sent_ = 0;
   uint64_t transfers_batched_ = 0;
   uint64_t bucket_waste_bytes_ = 0;
+  Simulator::PublishHook publish_hook_;
 };
 
 }  // namespace hipress

@@ -53,7 +53,11 @@ CaSyncEngine::CaSyncEngine(Simulator* sim, Network* net,
                            std::vector<GpuDevice*> gpus,
                            const SyncConfig& config, MetricsRegistry* metrics,
                            SpanCollector* spans)
-    : sim_(sim), net_(net), gpus_(std::move(gpus)), config_(config) {
+    : sim_(sim),
+      net_(net),
+      gpus_(std::move(gpus)),
+      config_(config),
+      publish_hook_(sim, [this] { PublishMetrics(); }) {
   CHECK_EQ(static_cast<int>(gpus_.size()), config_.num_nodes);
   codec_speed_ =
       GetCodecSpeed(config_.algorithm, config_.codec_impl, config_.platform);
@@ -72,20 +76,23 @@ CaSyncEngine::CaSyncEngine(Simulator* sim, Network* net,
     metrics = owned_metrics_.get();
   }
   metrics_ = metrics;
-  auto primitive = [metrics](const char* name) {
-    PrimitiveMetrics handles;
-    handles.tasks = &metrics->counter(StrFormat("engine.%s_tasks", name));
-    handles.time_ns = &metrics->counter(StrFormat("engine.%s_time_ns", name));
-    handles.duration_us = &metrics->histogram(StrFormat("engine.%s_us", name));
-    return handles;
+  auto bind = [metrics](PrimitiveTally* tally, const char* name) {
+    tally->tasks_metric = CounterPublisher(
+        &metrics->counter(StrFormat("engine.%s_tasks", name)));
+    tally->time_metric = CounterPublisher(
+        &metrics->counter(StrFormat("engine.%s_time_ns", name)));
+    tally->duration_us = LocalHistogram(
+        &metrics->histogram(StrFormat("engine.%s_us", name)));
   };
-  encode_metrics_ = primitive("encode");
-  decode_metrics_ = primitive("decode");
-  merge_metrics_ = primitive("merge");
-  send_tasks_ = &metrics_->counter("engine.send_tasks");
-  wire_bytes_ = &metrics_->counter("engine.wire_bytes");
-  send_bytes_ = &metrics_->histogram("engine.send_bytes",
-                                     HistogramBuckets::DefaultBytes());
+  bind(&encode_, "encode");
+  bind(&decode_, "decode");
+  bind(&merge_, "merge");
+  send_tasks_metric_ =
+      CounterPublisher(&metrics_->counter("engine.send_tasks"));
+  wire_bytes_metric_ =
+      CounterPublisher(&metrics_->counter("engine.wire_bytes"));
+  send_bytes_ = LocalHistogram(&metrics_->histogram(
+      "engine.send_bytes", HistogramBuckets::DefaultBytes()));
   if (config_.bulk) {
     coordinator_ = std::make_unique<BulkCoordinator>(
         sim_, net_, config_.bulk_size_threshold, config_.bulk_timeout,
@@ -106,6 +113,19 @@ CaSyncEngine::CaSyncEngine(Simulator* sim, Network* net,
     serial_.push_back(std::make_unique<SimResource>(
         sim_, StrFormat("serial/%zu", node)));
   }
+}
+
+CaSyncEngine::~CaSyncEngine() { PublishMetrics(); }
+
+void CaSyncEngine::PublishMetrics() {
+  for (PrimitiveTally* tally : {&encode_, &decode_, &merge_}) {
+    tally->tasks_metric.Publish(tally->tasks);
+    tally->time_metric.Publish(static_cast<uint64_t>(tally->time));
+    tally->duration_us.Publish();
+  }
+  send_tasks_metric_.Publish(send_tasks_);
+  wire_bytes_metric_.Publish(wire_bytes_);
+  send_bytes_.Publish();
 }
 
 SimTime CaSyncEngine::compute_busy(int node) const {
@@ -161,14 +181,14 @@ void CaSyncEngine::ReviveNode(int node) {
 
 EngineStats CaSyncEngine::stats() const {
   EngineStats stats;
-  stats.encode_tasks = encode_metrics_.tasks->value();
-  stats.decode_tasks = decode_metrics_.tasks->value();
-  stats.merge_tasks = merge_metrics_.tasks->value();
-  stats.send_tasks = send_tasks_->value();
-  stats.encode_time = static_cast<SimTime>(encode_metrics_.time_ns->value());
-  stats.decode_time = static_cast<SimTime>(decode_metrics_.time_ns->value());
-  stats.merge_time = static_cast<SimTime>(merge_metrics_.time_ns->value());
-  stats.wire_bytes = wire_bytes_->value();
+  stats.encode_tasks = encode_.tasks;
+  stats.decode_tasks = decode_.tasks;
+  stats.merge_tasks = merge_.tasks;
+  stats.send_tasks = send_tasks_;
+  stats.encode_time = encode_.time;
+  stats.decode_time = decode_.time;
+  stats.merge_time = merge_.time;
+  stats.wire_bytes = wire_bytes_;
   return stats;
 }
 
@@ -303,20 +323,20 @@ void CaSyncEngine::Dispatch(RunningGraph* running, TaskId id) {
       auto done = [running, id] { running->engine->KernelDone(running, id); };
       GpuTaskKind kind = GpuTaskKind::kMerge;
       CostPrimitive primitive = CostPrimitive::kMerge;
-      const PrimitiveMetrics* handles = &merge_metrics_;
+      PrimitiveTally* tally = &merge_;
       if (task.type == PrimitiveType::kEncode) {
         kind = GpuTaskKind::kEncode;
         primitive = CostPrimitive::kEncode;
-        handles = &encode_metrics_;
+        tally = &encode_;
       } else if (task.type == PrimitiveType::kDecode) {
         kind = GpuTaskKind::kDecode;
         primitive = CostPrimitive::kDecode;
-        handles = &decode_metrics_;
+        tally = &decode_;
       }
-      handles->tasks->Increment();
-      handles->time_ns->Increment(static_cast<uint64_t>(duration));
-      handles->duration_us->Observe(static_cast<double>(duration) /
-                                    kMicrosecond);
+      ++tally->tasks;
+      tally->time += duration;
+      tally->duration_us.Observe(static_cast<double>(duration) /
+                                 kMicrosecond);
       auditor_.AddSample(primitive, task.bytes, duration);
       if (config_.pipelining) {
         // CaSync: a dedicated kernel queue (the paper adds a task queue and
@@ -341,9 +361,9 @@ void CaSyncEngine::Dispatch(RunningGraph* running, TaskId id) {
       // and the wire all live between start and completion, so the whole
       // span is the send's service time (and the auditor's drift signal).
       task.start_time = task.ready_time;
-      send_tasks_->Increment();
-      wire_bytes_->Increment(task.bytes);
-      send_bytes_->Observe(static_cast<double>(task.bytes));
+      ++send_tasks_;
+      wire_bytes_ += task.bytes;
+      send_bytes_.Observe(static_cast<double>(task.bytes));
       ++running->outstanding;
       if (config_.extra_copy_overhead > 0) {
         // Extra staging copies before the transfer (BytePS OSS path).

@@ -33,8 +33,9 @@
 namespace hipress {
 
 // Aggregate execution statistics, for latency breakdowns (Figure 11) and
-// the ablation benches. Snapshot of the engine's metrics registry
-// ("engine.*" counters) at one instant.
+// the ablation benches. Snapshot of the engine's own tallies at one
+// instant; the "engine.*" counters of its registry carry the same totals
+// as of the simulator's last Run()/RunUntil() return.
 struct EngineStats {
   uint64_t encode_tasks = 0;
   uint64_t decode_tasks = 0;
@@ -55,11 +56,15 @@ class CaSyncEngine {
   // Per-primitive task counts, modelled durations and wire bytes are
   // recorded into `metrics` ("engine.encode_tasks", "engine.encode_us",
   // "engine.wire_bytes", ...); when null the engine keeps a private
-  // registry so stats() always works. `spans` is forwarded to the bulk
+  // registry. Dispatch only bumps the engine's own tallies; they are
+  // published into the registry each time the simulator's
+  // Run()/RunUntil() returns and when the engine is destroyed
+  // (Simulator::PublishHook). `spans` is forwarded to the bulk
   // coordinator for the merged trace.
   CaSyncEngine(Simulator* sim, Network* net, std::vector<GpuDevice*> gpus,
                const SyncConfig& config, MetricsRegistry* metrics = nullptr,
                SpanCollector* spans = nullptr);
+  ~CaSyncEngine();
 
   // Begins executing `graph` now; `on_done` fires at the simulated time the
   // last task completes. The graph must outlive execution. Multiple graphs
@@ -96,8 +101,8 @@ class CaSyncEngine {
   // kernels (for latency breakdowns).
   SimTime compute_busy(int node) const;
 
-  // Snapshot of the engine's execution counters (assembled from the
-  // metrics registry; subtract two snapshots for a per-iteration delta).
+  // Snapshot of the engine's execution tallies, current at any instant
+  // (subtract two snapshots for a per-iteration delta).
   EngineStats stats() const;
 
   // The registry this engine records into (the injected one, or the
@@ -174,12 +179,17 @@ class CaSyncEngine {
   void Transmit(RunningGraph* running, TaskId id);
   void OnPeerFailure(int peer);
   SimTime ComputeDuration(const TaskRecord& task) const;
+  void PublishMetrics();
 
-  // Cached handles into metrics_, one per instrumented primitive.
-  struct PrimitiveMetrics {
-    Counter* tasks = nullptr;
-    Counter* time_ns = nullptr;
-    Histogram* duration_us = nullptr;
+  // One kernel primitive's tallies and the registry metrics they publish
+  // into ("engine.<name>_tasks", "engine.<name>_time_ns",
+  // "engine.<name>_us").
+  struct PrimitiveTally {
+    uint64_t tasks = 0;
+    SimTime time = 0;
+    LocalHistogram duration_us;
+    CounterPublisher tasks_metric;
+    CounterPublisher time_metric;
   };
 
   Simulator* sim_;
@@ -207,12 +217,15 @@ class CaSyncEngine {
   std::vector<int> failed_nodes_;
   CostModelAuditor auditor_;
   Counter* graphs_cancelled_ = nullptr;
-  PrimitiveMetrics encode_metrics_;
-  PrimitiveMetrics decode_metrics_;
-  PrimitiveMetrics merge_metrics_;
-  Counter* send_tasks_ = nullptr;
-  Counter* wire_bytes_ = nullptr;
-  Histogram* send_bytes_ = nullptr;
+  PrimitiveTally encode_;
+  PrimitiveTally decode_;
+  PrimitiveTally merge_;
+  uint64_t send_tasks_ = 0;
+  uint64_t wire_bytes_ = 0;
+  LocalHistogram send_bytes_;
+  CounterPublisher send_tasks_metric_;
+  CounterPublisher wire_bytes_metric_;
+  Simulator::PublishHook publish_hook_;
 };
 
 }  // namespace hipress

@@ -79,6 +79,27 @@ void Histogram::Observe(double value) {
   sum_ += value;
 }
 
+void Histogram::Merge(const LocalHistogram& local) {
+  if (local.count_ == 0) {
+    return;
+  }
+  CHECK(local.bounds_.data() == bounds_.data())
+      << "LocalHistogram merged into a histogram it was not built for";
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += local.counts_[i];
+  }
+  if (count_ == 0) {
+    min_ = local.min_;
+    max_ = local.max_;
+  } else {
+    min_ = std::min(min_, local.min_);
+    max_ = std::max(max_, local.max_);
+  }
+  count_ += local.count_;
+  sum_ += local.sum_;
+}
+
 uint64_t Histogram::count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return count_;
@@ -135,6 +156,25 @@ double Histogram::Quantile(double q) const {
     cumulative = next;
   }
   return max_;
+}
+
+// ------------------------------------------------------------ LocalHistogram
+
+LocalHistogram::LocalHistogram(Histogram* target)
+    : target_(target),
+      bounds_(target->bounds()),
+      counts_(target->bounds().size() + 1, 0) {}
+
+void LocalHistogram::Publish() {
+  if (target_ == nullptr || count_ == 0) {
+    return;
+  }
+  target_->Merge(*this);
+  std::fill(counts_.begin(), counts_.end(), 0);
+  count_ = 0;
+  sum_ = 0.0;
+  min_ = 0.0;
+  max_ = 0.0;
 }
 
 // ----------------------------------------------------------- HistogramBuckets

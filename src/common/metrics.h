@@ -9,6 +9,14 @@
 // carries the whole per-primitive latency breakdown the paper's Figure 11
 // argues from.
 //
+// The registry's metrics are thread-safe, which costs an atomic add per
+// counter increment and a lock per histogram observation. The simulator's
+// per-event paths are single-threaded, so the components on them keep
+// plain tallies instead — integers, plus a LocalHistogram per histogram —
+// and publish them into the registry when Simulator::Run()/RunUntil()
+// returns and when the component is destroyed (Simulator::PublishHook,
+// CounterPublisher).
+//
 // SpanCollector is the tracing half: components append named [start, end)
 // spans on (node, lane) rows; the exporter in src/train/trace.h merges them
 // with GPU kernel timelines into a single Perfetto/chrome://tracing JSON,
@@ -16,12 +24,14 @@
 #ifndef HIPRESS_SRC_COMMON_METRICS_H_
 #define HIPRESS_SRC_COMMON_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +62,29 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+// Publishes a cumulative total that one thread keeps in a plain integer
+// into a registry Counter: each Publish adds the increase since the
+// previous one, so the per-event code never touches the Counter. Unbound
+// (default-constructed) publishers do nothing.
+class CounterPublisher {
+ public:
+  CounterPublisher() = default;
+  explicit CounterPublisher(Counter* target) : target_(target) {}
+
+  void Publish(uint64_t total) {
+    if (target_ != nullptr && total != published_) {
+      target_->Increment(total - published_);
+      published_ = total;
+    }
+  }
+
+ private:
+  Counter* target_ = nullptr;
+  uint64_t published_ = 0;
+};
+
+class LocalHistogram;
+
 // Fixed-bucket histogram: `bounds` are sorted inclusive upper bounds; an
 // observation lands in the first bucket whose bound is >= the value, or in
 // the overflow bucket. Tracks count/sum/min/max. Thread-safe.
@@ -60,6 +93,11 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void Observe(double value);
+  // Adds everything `local` observed since its last publish, under one
+  // lock. Counts, min and max come out as if each value had been passed
+  // to Observe; the sum adds `local`'s partial sum, so it equals the
+  // sequential sum bit for bit only when this histogram was empty.
+  void Merge(const LocalHistogram& local);
 
   uint64_t count() const;
   double sum() const;
@@ -77,6 +115,48 @@ class Histogram {
   const std::vector<double> bounds_;
   mutable std::mutex mutex_;
   std::vector<uint64_t> counts_;  // bounds_.size() + 1 (overflow last)
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
+// Single-owner accumulator for one Histogram: Observe is plain arithmetic
+// on plain fields, with no lock and no atomic, for a hot path that one
+// thread owns. It buckets with its target's bounds; Publish merges the
+// observations since the last publish into the target (Histogram::Merge)
+// and starts over. An unbound (default-constructed) accumulator counts
+// everything into one bucket and publishes nowhere.
+class LocalHistogram {
+ public:
+  LocalHistogram() = default;
+  explicit LocalHistogram(Histogram* target);
+
+  void Observe(double value) {
+    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
+    ++counts_[static_cast<size_t>(it - bounds_.begin())];
+    if (count_ == 0) {
+      min_ = value;
+      max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    ++count_;
+    sum_ += value;
+  }
+
+  void Publish();
+
+  // Observations since the last publish.
+  uint64_t count() const { return count_; }
+
+ private:
+  friend class Histogram;
+
+  Histogram* target_ = nullptr;
+  std::span<const double> bounds_;
+  std::vector<uint64_t> counts_ = std::vector<uint64_t>(1, 0);
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

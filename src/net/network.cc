@@ -31,7 +31,8 @@ Network::Network(Simulator* sim, int num_nodes, NetworkConfig config,
       config_(config),
       spans_(spans),
       topology_(MakeTopology(config.topology, num_nodes, config.latency)),
-      wire_pool_(metrics, "net") {
+      wire_pool_(metrics, "net"),
+      publish_hook_(sim, [this] { PublishMetrics(); }) {
   CHECK_GT(num_nodes, 0);
   // std::max keeps GCC's range analysis from flagging the vector fill.
   const auto nodes = static_cast<size_t>(std::max(num_nodes, 1));
@@ -42,16 +43,36 @@ Network::Network(Simulator* sim, int num_nodes, NetworkConfig config,
   rx_bytes_.assign(nodes, 0);
   jitter_seq_.assign(nodes, 0);
   if (metrics != nullptr) {
-    messages_sent_metric_ = &metrics->counter("net.messages_sent");
-    messages_delivered_metric_ = &metrics->counter("net.messages_delivered");
-    tx_bytes_metric_ = &metrics->counter("net.tx_bytes");
-    drops_metric_ = &metrics->counter("net.drops");
-    dropped_bytes_metric_ = &metrics->counter("net.dropped_bytes");
-    degraded_metric_ = &metrics->counter("net.degraded_transfers");
-    queue_delay_us_ = &metrics->histogram("net.queue_delay_us");
-    transfer_bytes_ = &metrics->histogram("net.transfer_bytes",
-                                          HistogramBuckets::DefaultBytes());
+    auto counter = [metrics](const char* name) {
+      return CounterPublisher(&metrics->counter(name));
+    };
+    messages_sent_metric_ = counter("net.messages_sent");
+    messages_delivered_metric_ = counter("net.messages_delivered");
+    tx_bytes_metric_ = counter("net.tx_bytes");
+    drops_metric_ = counter("net.drops");
+    dropped_bytes_metric_ = counter("net.dropped_bytes");
+    degraded_metric_ = counter("net.degraded_transfers");
+    queue_delay_us_ = LocalHistogram(&metrics->histogram("net.queue_delay_us"));
+    transfer_bytes_ = LocalHistogram(&metrics->histogram(
+        "net.transfer_bytes", HistogramBuckets::DefaultBytes()));
   }
+}
+
+Network::~Network() { PublishMetrics(); }
+
+void Network::PublishMetrics() {
+  uint64_t tx_bytes = 0;
+  for (const uint64_t node_bytes : tx_bytes_) {
+    tx_bytes += node_bytes;
+  }
+  messages_sent_metric_.Publish(messages_sent_);
+  messages_delivered_metric_.Publish(messages_delivered_);
+  tx_bytes_metric_.Publish(tx_bytes);
+  drops_metric_.Publish(messages_dropped_);
+  dropped_bytes_metric_.Publish(dropped_bytes_);
+  degraded_metric_.Publish(degraded_transfers_);
+  queue_delay_us_.Publish();
+  transfer_bytes_.Publish();
 }
 
 SimTime Network::EarliestStart(int src, int dst) const {
@@ -94,10 +115,7 @@ void Network::Send(NetMessage message,
   // A crashed sender transmits nothing: blackhole without touching links.
   if (!alive(message.src)) {
     ++messages_dropped_;
-    if (drops_metric_ != nullptr) {
-      drops_metric_->Increment();
-      dropped_bytes_metric_->Increment(message.bytes);
-    }
+    dropped_bytes_ += message.bytes;
     if (flight_ != nullptr) {
       flight_->Record(message.src, ev_drop_, sim_->now(),
                       static_cast<uint64_t>(message.dst), message.bytes);
@@ -127,9 +145,7 @@ void Network::Send(NetMessage message,
   if (degrade_factor < 1.0) {
     serialize =
         static_cast<SimTime>(static_cast<double>(serialize) / degrade_factor);
-    if (degraded_metric_ != nullptr) {
-      degraded_metric_->Increment();
-    }
+    ++degraded_transfers_;
   }
   // Seeded per-message loss: the message still burns link time (the bits
   // were transmitted) but is never delivered.
@@ -175,12 +191,8 @@ void Network::Send(NetMessage message,
   tx_bytes_[message.src] += message.bytes;
   rx_bytes_[message.dst] += message.bytes;
 
-  if (messages_sent_metric_ != nullptr) {
-    messages_sent_metric_->Increment();
-    tx_bytes_metric_->Increment(message.bytes);
-    transfer_bytes_->Observe(static_cast<double>(message.bytes));
-    queue_delay_us_->Observe(static_cast<double>(queue_wait) / kMicrosecond);
-  }
+  transfer_bytes_.Observe(static_cast<double>(message.bytes));
+  queue_delay_us_.Observe(static_cast<double>(queue_wait) / kMicrosecond);
   // The crash schedule is static, so delivery to a node that will be dead
   // at arrival time is decidable now: the bits are sent but never received.
   const bool blackholed = !AliveAt(message.dst, deliver_at);
@@ -204,10 +216,7 @@ void Network::Send(NetMessage message,
   }
   if (lost || blackholed) {
     ++messages_dropped_;
-    if (drops_metric_ != nullptr) {
-      drops_metric_->Increment();
-      dropped_bytes_metric_->Increment(message.bytes);
-    }
+    dropped_bytes_ += message.bytes;
     if (flight_ != nullptr) {
       flight_->Record(message.src, ev_drop_, sim_->now(),
                       static_cast<uint64_t>(message.dst), message.bytes);
@@ -217,9 +226,6 @@ void Network::Send(NetMessage message,
   sim_->ScheduleAt(deliver_at, [this, message = std::move(message),
                                 on_delivered = std::move(on_delivered)] {
     ++messages_delivered_;
-    if (messages_delivered_metric_ != nullptr) {
-      messages_delivered_metric_->Increment();
-    }
     if (flight_ != nullptr) {
       flight_->Record(message.dst, ev_deliver_, sim_->now(),
                       static_cast<uint64_t>(message.src), message.bytes);

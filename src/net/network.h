@@ -106,8 +106,13 @@ class Network {
   // "net.queue_delay_us"); `spans` (optional) receives one uplink span on
   // the sender's track and one downlink span on the receiver's per message
   // (plus fabric spans for cross-rack hops), for the merged Perfetto trace.
+  // Send and delivery only bump the network's own tallies (the counts
+  // behind messages_delivered() and friends); they are published into
+  // `metrics` each time the simulator's Run()/RunUntil() returns and when
+  // the network is destroyed (Simulator::PublishHook).
   Network(Simulator* sim, int num_nodes, NetworkConfig config,
           MetricsRegistry* metrics = nullptr, SpanCollector* spans = nullptr);
+  ~Network();
 
   // Sends `message` from message.src to message.dst; `on_delivered` fires at
   // the receiver's delivery time. src/dst must be valid and distinct
@@ -181,21 +186,24 @@ class Network {
   FlightRecorder* flight_recorder() const { return flight_; }
 
  private:
+  void PublishMetrics();
+
   Simulator* sim_;
   int num_nodes_;
   NetworkConfig config_;
   SpanCollector* spans_ = nullptr;
   std::unique_ptr<Topology> topology_;
   BufferPool wire_pool_;
-  // Cached metric handles; all null when no registry is wired.
-  Counter* messages_sent_metric_ = nullptr;
-  Counter* messages_delivered_metric_ = nullptr;
-  Counter* tx_bytes_metric_ = nullptr;
-  Counter* drops_metric_ = nullptr;
-  Counter* dropped_bytes_metric_ = nullptr;
-  Counter* degraded_metric_ = nullptr;
-  Histogram* queue_delay_us_ = nullptr;
-  Histogram* transfer_bytes_ = nullptr;
+  // Registry counters the tallies below publish into; unbound when no
+  // registry is wired.
+  CounterPublisher messages_sent_metric_;
+  CounterPublisher messages_delivered_metric_;
+  CounterPublisher tx_bytes_metric_;
+  CounterPublisher drops_metric_;
+  CounterPublisher dropped_bytes_metric_;
+  CounterPublisher degraded_metric_;
+  LocalHistogram queue_delay_us_;
+  LocalHistogram transfer_bytes_;
   // Black-box event sink and its interned event ids (set_flight_recorder).
   FlightRecorder* flight_ = nullptr;
   uint16_t ev_send_ = 0;
@@ -214,6 +222,9 @@ class Network {
   uint64_t messages_delivered_ = 0;
   uint64_t messages_sent_ = 0;
   uint64_t messages_dropped_ = 0;
+  uint64_t dropped_bytes_ = 0;
+  uint64_t degraded_transfers_ = 0;
+  Simulator::PublishHook publish_hook_;
 };
 
 }  // namespace hipress

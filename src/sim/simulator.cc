@@ -25,13 +25,37 @@ Simulator::Simulator() : spill_pool_(nullptr, "sim") {
   active_end_ = SimTime{1} << width_shift_;
 }
 
-Simulator::~Simulator() { DrainAll(); }
+Simulator::~Simulator() {
+  for (PublishHook* hook : publish_hooks_) {
+    hook->sim_ = nullptr;
+  }
+  DrainAll();
+}
+
+Simulator::PublishHook::PublishHook(Simulator* sim,
+                                    std::function<void()> publish)
+    : sim_(sim), publish_(std::move(publish)) {
+  sim_->publish_hooks_.push_back(this);
+}
+
+Simulator::PublishHook::~PublishHook() {
+  if (sim_ != nullptr) {
+    std::erase(sim_->publish_hooks_, this);
+  }
+}
+
+void Simulator::RunPublishHooks() {
+  for (PublishHook* hook : publish_hooks_) {
+    hook->publish_();
+  }
+}
 
 SimTime Simulator::Run() {
   const auto start = std::chrono::steady_clock::now();
   while (Step()) {
   }
   run_wall_seconds_ += SecondsSince(start);
+  RunPublishHooks();
   return now_;
 }
 
@@ -48,6 +72,7 @@ SimTime Simulator::RunUntil(SimTime deadline) {
     now_ = deadline;
   }
   run_wall_seconds_ += SecondsSince(start);
+  RunPublishHooks();
   return now_;
 }
 

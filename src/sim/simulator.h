@@ -24,12 +24,19 @@
 // small capacity across carves and only grow for unusually full buckets.
 // The `(when, seq)` FIFO tie-break of the original global heap is
 // preserved exactly, so existing runs stay bit-identical.
+//
+// Publish hooks run each time Run() or RunUntil() returns: the components
+// on the per-event path (network, GPU devices, CaSync engine, bulk
+// coordinator) tally their metrics in plain fields and publish them into
+// their MetricsRegistry from a hook, so the event loop pays no lock or
+// atomic for instrumentation (src/common/metrics.h).
 #ifndef HIPRESS_SRC_SIM_SIMULATOR_H_
 #define HIPRESS_SRC_SIM_SIMULATOR_H_
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -48,6 +55,25 @@ class Simulator {
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+
+  // Runs `publish` each time Run() or RunUntil() returns, in the order
+  // the hooks were created, for as long as the hook lives. A component
+  // that owns one also publishes from its destructor, so a registry read
+  // after either point sees every event the component recorded; a reader
+  // inside an event callback sees the values of the last return. A hook
+  // that outlives its simulator is detached and never runs again.
+  class PublishHook {
+   public:
+    PublishHook(Simulator* sim, std::function<void()> publish);
+    ~PublishHook();
+    PublishHook(const PublishHook&) = delete;
+    PublishHook& operator=(const PublishHook&) = delete;
+
+   private:
+    friend class Simulator;
+    Simulator* sim_;
+    std::function<void()> publish_;
+  };
 
   SimTime now() const { return now_; }
   uint64_t events_processed() const { return events_processed_; }
@@ -204,6 +230,7 @@ class Simulator {
   void BuildFrameFromOuter(int bucket);
   void NarrowFrame(int bucket);
   void DrainAll();
+  void RunPublishHooks();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
@@ -258,6 +285,7 @@ class Simulator {
   uint64_t sched_pool_misses_ = 0;
   uint64_t sched_spilled_events_ = 0;
   double run_wall_seconds_ = 0.0;
+  std::vector<PublishHook*> publish_hooks_;
 };
 
 }  // namespace hipress

@@ -24,26 +24,33 @@ const char* GpuTaskKindName(GpuTaskKind kind) {
 
 GpuDevice::GpuDevice(Simulator* sim, int id, int num_streams,
                      MetricsRegistry* metrics)
-    : sim_(sim), id_(id) {
+    : sim_(sim), id_(id), publish_hook_(sim, [this] { PublishMetrics(); }) {
   CHECK_GT(num_streams, 0);
   // std::max keeps GCC's range analysis from flagging the vector fill.
   const auto streams = static_cast<size_t>(std::max(num_streams, 1));
   stream_free_.assign(streams, 0);
   stream_busy_.assign(streams, 0);
   if (metrics != nullptr) {
-    constexpr GpuTaskKind kKinds[] = {GpuTaskKind::kCompute,
-                                      GpuTaskKind::kEncode,
-                                      GpuTaskKind::kDecode, GpuTaskKind::kMerge,
-                                      GpuTaskKind::kMemcpy};
-    kind_metrics_.resize(std::size(kKinds));
-    for (const GpuTaskKind kind : kKinds) {
-      const std::string name = GpuTaskKindName(kind);
-      KindMetrics& slot = kind_metrics_[static_cast<size_t>(kind)];
-      slot.tasks = &metrics->counter("gpu.tasks." + name);
-      slot.busy_ns = &metrics->counter("gpu.busy_ns." + name);
+    for (int k = 0; k < kNumGpuTaskKinds; ++k) {
+      const std::string name = GpuTaskKindName(static_cast<GpuTaskKind>(k));
+      KindTally& slot = kinds_[static_cast<size_t>(k)];
+      slot.tasks_metric =
+          CounterPublisher(&metrics->counter("gpu.tasks." + name));
+      slot.busy_ns_metric =
+          CounterPublisher(&metrics->counter("gpu.busy_ns." + name));
     }
-    kernel_us_ = &metrics->histogram("gpu.kernel_us");
+    kernel_us_ = LocalHistogram(&metrics->histogram("gpu.kernel_us"));
   }
+}
+
+GpuDevice::~GpuDevice() { PublishMetrics(); }
+
+void GpuDevice::PublishMetrics() {
+  for (KindTally& slot : kinds_) {
+    slot.tasks_metric.Publish(slot.tasks);
+    slot.busy_ns_metric.Publish(slot.busy_ns);
+  }
+  kernel_us_.Publish();
 }
 
 SimTime GpuDevice::Submit(int stream, GpuTaskKind kind, SimTime duration,
@@ -58,12 +65,11 @@ SimTime GpuDevice::Submit(int stream, GpuTaskKind kind, SimTime duration,
   if (record_timeline_) {
     timeline_.push_back(GpuInterval{start, end, kind});
   }
-  if (const size_t k = static_cast<size_t>(kind); k < kind_metrics_.size()) {
-    kind_metrics_[k].tasks->Increment();
-    kind_metrics_[k].busy_ns->Increment(static_cast<uint64_t>(duration));
-    if (kind != GpuTaskKind::kCompute) {
-      kernel_us_->Observe(static_cast<double>(duration) / kMicrosecond);
-    }
+  KindTally& tally = kinds_[static_cast<size_t>(kind)];
+  ++tally.tasks;
+  tally.busy_ns += static_cast<uint64_t>(duration);
+  if (kind != GpuTaskKind::kCompute) {
+    kernel_us_.Observe(static_cast<double>(duration) / kMicrosecond);
   }
   sim_->ScheduleAt(end, std::move(done));
   return start;

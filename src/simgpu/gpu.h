@@ -10,6 +10,7 @@
 #ifndef HIPRESS_SRC_SIMGPU_GPU_H_
 #define HIPRESS_SRC_SIMGPU_GPU_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,6 +32,7 @@ enum class GpuTaskKind {
   kMerge,
   kMemcpy,
 };
+inline constexpr int kNumGpuTaskKinds = 5;
 
 const char* GpuTaskKindName(GpuTaskKind kind);
 
@@ -48,9 +50,13 @@ class GpuDevice {
 
   // `metrics` (optional) receives per-kind task counts, busy nanoseconds
   // and kernel-duration histograms ("gpu.tasks.encode", "gpu.busy_ns.*",
-  // "gpu.kernel_us"), aggregated across every device wired to it.
+  // "gpu.kernel_us"), aggregated across every device wired to it. Submit
+  // only bumps the device's own tallies; they are published into
+  // `metrics` each time the simulator's Run()/RunUntil() returns and when
+  // the device is destroyed (Simulator::PublishHook).
   GpuDevice(Simulator* sim, int id, int num_streams = 2,
             MetricsRegistry* metrics = nullptr);
+  ~GpuDevice();
 
   // Runs a task of `duration` ns FIFO on `stream`; `done` fires at its finish
   // time. Returns the task's scheduled start time (>= now; later when the
@@ -94,11 +100,15 @@ class GpuDevice {
   double ComputeUtilization(SimTime window_start, SimTime window_end) const;
 
  private:
-  // Cached per-kind metric handles (index = GpuTaskKind); null w/o metrics.
-  struct KindMetrics {
-    Counter* tasks = nullptr;
-    Counter* busy_ns = nullptr;
+  // Per-kind tallies (index = GpuTaskKind) and their registry counters.
+  struct KindTally {
+    uint64_t tasks = 0;
+    uint64_t busy_ns = 0;
+    CounterPublisher tasks_metric;
+    CounterPublisher busy_ns_metric;
   };
+
+  void PublishMetrics();
 
   Simulator* sim_;
   int id_;
@@ -106,9 +116,10 @@ class GpuDevice {
   std::vector<SimTime> stream_busy_;
   std::vector<GpuInterval> timeline_;
   bool record_timeline_ = false;
-  std::vector<KindMetrics> kind_metrics_;
-  Histogram* kernel_us_ = nullptr;  // non-compute kernel durations
+  std::array<KindTally, kNumGpuTaskKinds> kinds_;
+  LocalHistogram kernel_us_;  // non-compute kernel durations
   BufferPool* staging_pool_ = &BufferPool::Global();
+  Simulator::PublishHook publish_hook_;
 };
 
 }  // namespace hipress

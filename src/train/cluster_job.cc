@@ -34,7 +34,7 @@ struct Job {
   ClusterJobReport report;
 };
 
-// Adds one job's engine and coordinator counters into the shared registry
+// Adds one job's engine and coordinator totals into the shared registry
 // under the names a single-job run records them with.
 void AddEngineTotals(CaSyncEngine& engine, MetricsRegistry* shared) {
   const EngineStats stats = engine.stats();
@@ -51,13 +51,18 @@ void AddEngineTotals(CaSyncEngine& engine, MetricsRegistry* shared) {
   for (const auto& [name, value] : totals) {
     shared->counter(name).Increment(value);
   }
-  if (engine.coordinator() == nullptr) {
+  const BulkCoordinator* coordinator = engine.coordinator();
+  if (coordinator == nullptr) {
     return;
   }
-  for (const char* name :
-       {"coordinator.batches", "coordinator.transfers_batched",
-        "coordinator.batch_bucket_waste_bytes"}) {
-    shared->counter(name).Increment(engine.metrics().counter_value(name));
+  const std::pair<const char*, uint64_t> batching[] = {
+      {"coordinator.batches", coordinator->batches_sent()},
+      {"coordinator.transfers_batched", coordinator->transfers_batched()},
+      {"coordinator.batch_bucket_waste_bytes",
+       coordinator->bucket_waste_bytes()},
+  };
+  for (const auto& [name, value] : batching) {
+    shared->counter(name).Increment(value);
   }
 }
 

@@ -282,6 +282,104 @@ TEST(MetricsTest, ConcurrentWritersAndJsonReaderAreSafe) {
 }
 #pragma GCC diagnostic pop
 
+// ------------------------------------------------ single-owner tallies
+
+TEST(LocalHistogramTest, MergeMatchesObservingEachValue) {
+  // The same stream into a LocalHistogram (published once, into an empty
+  // histogram) and straight into Observe: identical buckets, count, min,
+  // max, and a bit-equal sum. Values include both bucket edges, the
+  // overflow bucket, a negative and sums that round.
+  MetricsRegistry registry;
+  Histogram& direct = registry.histogram("direct", {1.0, 10.0, 100.0});
+  Histogram& merged = registry.histogram("merged", {1.0, 10.0, 100.0});
+  LocalHistogram local(&merged);
+  const double values[] = {0.1, 1.0,  10.0, 3.3, 1e6, -2.5,
+                           0.7, 99.9, 0.3,  7e-5, 100.0, 1e-300};
+  for (const double value : values) {
+    direct.Observe(value);
+    local.Observe(value);
+  }
+  EXPECT_EQ(local.count(), std::size(values));
+  EXPECT_EQ(merged.count(), 0u);  // nothing reaches the target unpublished
+  local.Publish();
+  EXPECT_EQ(local.count(), 0u);
+  EXPECT_EQ(merged.bucket_counts(), direct.bucket_counts());
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_EQ(merged.min(), direct.min());
+  EXPECT_EQ(merged.max(), direct.max());
+  const double merged_sum = merged.sum();
+  const double direct_sum = direct.sum();
+  EXPECT_EQ(std::memcmp(&merged_sum, &direct_sum, sizeof(double)), 0);
+
+  // A second publish adds to what is there; min/max/count stay exact.
+  local.Observe(-7.0);
+  local.Observe(2e6);
+  direct.Observe(-7.0);
+  direct.Observe(2e6);
+  local.Publish();
+  local.Publish();  // nothing new: a no-op
+  EXPECT_EQ(merged.bucket_counts(), direct.bucket_counts());
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_EQ(merged.min(), -7.0);
+  EXPECT_EQ(merged.max(), 2e6);
+  EXPECT_NEAR(merged.sum(), direct.sum(), 1e-12 * std::abs(direct.sum()));
+}
+
+TEST(LocalHistogramTest, UnboundTallyPublishesNowhere) {
+  LocalHistogram local;
+  local.Observe(3.0);
+  EXPECT_EQ(local.count(), 1u);
+  local.Publish();
+  EXPECT_EQ(local.count(), 1u);
+}
+
+TEST(CounterPublisherTest, PublishesTheIncreaseSinceTheLastPublish) {
+  MetricsRegistry registry;
+  CounterPublisher publisher(&registry.counter("c"));
+  registry.counter("c").Increment(5);  // another writer's share
+  publisher.Publish(3);
+  publisher.Publish(3);
+  EXPECT_EQ(registry.counter_value("c"), 8u);
+  publisher.Publish(10);
+  EXPECT_EQ(registry.counter_value("c"), 15u);
+  CounterPublisher().Publish(99);  // unbound: no target, no effect
+}
+
+TEST(LocalHistogramTest, PublishRacesJsonReaderSafely) {
+  // One thread owns the tallies and publishes them; another serializes the
+  // registry meanwhile. The TSan CI job runs this: publishing is the only
+  // point where a tally meets the registry's cross-thread contract.
+  MetricsRegistry registry;
+  Histogram& histogram = registry.histogram("h");
+  Counter& counter = registry.counter("c");
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_FALSE(registry.ToJson().empty());
+    }
+  });
+  std::thread owner([&] {
+    LocalHistogram local(&histogram);
+    CounterPublisher publisher(&counter);
+    uint64_t total = 0;
+    for (int round = 0; round < 500; ++round) {
+      for (int i = 0; i < 20; ++i) {
+        local.Observe(static_cast<double>(i));
+        ++total;
+      }
+      local.Publish();
+      publisher.Publish(total);
+    }
+  });
+  owner.join();
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(histogram.count(), 10000u);
+  EXPECT_EQ(counter.value(), 10000u);
+  EXPECT_EQ(histogram.min(), 0.0);
+  EXPECT_EQ(histogram.max(), 19.0);
+}
+
 // -------------------------------------------------------- JSON round-trip
 
 TEST(MetricsTest, JsonRoundTripThroughParser) {

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
 
@@ -31,6 +32,42 @@ TEST(NetworkTest, SingleTransferTiming) {
   EXPECT_EQ(net.tx_bytes(0), 10'000'000u);
   EXPECT_EQ(net.rx_bytes(1), 10'000'000u);
   EXPECT_EQ(net.messages_delivered(), 1u);
+}
+
+TEST(NetworkTest, PublishesTalliesWhenTheSimulatorReturns) {
+  // Sends and deliveries only bump the network's tallies: a registry read
+  // inside a delivery callback sees the last return's values, a read after
+  // Run() sees them all.
+  MetricsRegistry metrics;
+  Simulator sim;
+  NetworkConfig config = FastConfig();
+  config.faults.degradations.push_back(
+      LinkDegradation{0, 2, 0, FromMillis(1.0), 0.5});
+  Network net(&sim, 3, config, &metrics);
+  for (const int dst : {1, 2}) {
+    NetMessage msg;
+    msg.src = 0;
+    msg.dst = dst;
+    msg.bytes = 4096;
+    net.Send(msg, [&](const NetMessage&) {
+      EXPECT_EQ(metrics.counter_value("net.messages_delivered"), 0u);
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(metrics.counter_value("net.messages_sent"), 2u);
+  EXPECT_EQ(metrics.counter_value("net.messages_delivered"),
+            net.messages_delivered());
+  EXPECT_EQ(metrics.counter_value("net.messages_delivered"), 2u);
+  EXPECT_EQ(metrics.counter_value("net.tx_bytes"), 8192u);
+  EXPECT_EQ(metrics.counter_value("net.degraded_transfers"), 1u);
+  EXPECT_EQ(metrics.counter_value("net.drops"), 0u);
+  EXPECT_EQ(metrics.histogram_count("net.transfer_bytes"), 2u);
+  // The second send waited out the first one's serialization on the
+  // shared uplink.
+  const Histogram& queue_delay = metrics.histogram("net.queue_delay_us");
+  EXPECT_EQ(queue_delay.count(), 2u);
+  EXPECT_DOUBLE_EQ(queue_delay.min(), 0.0);
+  EXPECT_GT(queue_delay.max(), 0.0);
 }
 
 TEST(NetworkTest, UplinkSerializesTransfersFromSameSource) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -330,6 +331,33 @@ TEST(SimulatorTest, EventPoolStopsMissingInSteadyState) {
   EXPECT_EQ(sim.sched_pool_misses(), misses);
   EXPECT_GT(sim.sched_pool_hits(), 0u);
   EXPECT_GE(sim.queue_peak_depth(), 512u);
+}
+
+TEST(SimulatorTest, PublishHooksRunWhenRunAndRunUntilReturn) {
+  Simulator sim;
+  std::vector<int> calls;
+  Simulator::PublishHook first(&sim, [&] { calls.push_back(1); });
+  {
+    Simulator::PublishHook second(&sim, [&] { calls.push_back(2); });
+    int fired = 0;
+    sim.Schedule(10, [&] { ++fired; });
+    sim.RunUntil(5);
+    EXPECT_EQ(calls, (std::vector<int>{1, 2}));  // creation order
+    EXPECT_TRUE(sim.Step());  // stepping alone publishes nothing
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(calls.size(), 2u);
+  }
+  sim.Run();  // the destroyed hook is gone
+  EXPECT_EQ(calls, (std::vector<int>{1, 2, 1}));
+}
+
+TEST(SimulatorTest, PublishHookOutlivingItsSimulatorDetaches) {
+  auto sim = std::make_unique<Simulator>();
+  int calls = 0;
+  Simulator::PublishHook hook(sim.get(), [&] { ++calls; });
+  sim->Run();
+  sim.reset();  // the hook's destructor must not touch the simulator
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(SimResourceTest, SerializesJobsBackToBack) {

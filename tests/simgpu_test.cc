@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/compress/speed_profile.h"
 #include "src/sim/simulator.h"
 #include "src/simgpu/gpu.h"
@@ -39,6 +40,51 @@ TEST(GpuDeviceTest, BusyTimePerStream) {
   sim.Run();
   EXPECT_EQ(gpu.busy_time(GpuDevice::kComputeStream), 100);
   EXPECT_EQ(gpu.busy_time(GpuDevice::kKernelStream), 40);
+}
+
+TEST(GpuDeviceTest, PublishesTalliesWhenTheSimulatorReturns) {
+  // Submit only bumps the device's tallies; the registry sees them when
+  // Run() returns, summed over every device wired to it.
+  MetricsRegistry metrics;
+  Simulator sim;
+  GpuDevice gpu0(&sim, 0, 2, &metrics);
+  GpuDevice gpu1(&sim, 1, 2, &metrics);
+  gpu0.SubmitCompute(100, [&] {
+    EXPECT_EQ(metrics.counter_value("gpu.tasks.compute"), 0u);
+  });
+  gpu0.SubmitKernel(GpuTaskKind::kEncode, 3000, [] {});
+  gpu1.SubmitKernel(GpuTaskKind::kEncode, 5000, [] {});
+  gpu1.SubmitKernel(GpuTaskKind::kMerge, 1000, [] {});
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.encode"), 0u);
+  sim.Run();
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.compute"), 1u);
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.encode"), 2u);
+  EXPECT_EQ(metrics.counter_value("gpu.busy_ns.encode"), 8000u);
+  EXPECT_EQ(metrics.counter_value("gpu.busy_ns.merge"), 1000u);
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.memcpy"), 0u);
+  // Compute is not a kernel: three kernel durations, in microseconds.
+  const Histogram& kernel_us = metrics.histogram("gpu.kernel_us");
+  EXPECT_EQ(kernel_us.count(), 3u);
+  EXPECT_DOUBLE_EQ(kernel_us.sum(), 9.0);
+  EXPECT_DOUBLE_EQ(kernel_us.min(), 1.0);
+  EXPECT_DOUBLE_EQ(kernel_us.max(), 5.0);
+  // A second run publishes only what is new.
+  gpu0.SubmitKernel(GpuTaskKind::kDecode, 2000, [] {});
+  sim.Run();
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.encode"), 2u);
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.decode"), 1u);
+  EXPECT_EQ(kernel_us.count(), 4u);
+}
+
+TEST(GpuDeviceTest, DestructionPublishesWhatNoRunDid) {
+  MetricsRegistry metrics;
+  Simulator sim;
+  {
+    GpuDevice gpu(&sim, 0, 2, &metrics);
+    gpu.SubmitKernel(GpuTaskKind::kMerge, 500, [] {});
+  }
+  EXPECT_EQ(metrics.counter_value("gpu.tasks.merge"), 1u);
+  EXPECT_EQ(metrics.histogram_count("gpu.kernel_us"), 1u);
 }
 
 TEST(GpuDeviceTest, TimelineRecordsIntervals) {

@@ -159,11 +159,17 @@ int main() {
                   bsp->report.throughput,
                   static_cast<double>(bsp->report.iteration_time) /
                       clean->report.iteration_time);
+      std::printf("1.5x straggler, SSP(1) %7s %14.0f %9.2fx slower\n", "",
+                  ssp->report.throughput,
+                  static_cast<double>(ssp->report.iteration_time) /
+                      clean->report.iteration_time);
     }
   }
   std::printf("(plans computed from clean profiles keep their advantage "
               "under 50%% jitter;\n BSP stretches with the straggler — the "
-              "synchronous-coordination cost Section 2.1 notes)\n");
+              "synchronous-coordination cost Section 2.1 notes — and SSP\n"
+              " cannot hide it: every iteration still waits for the slow "
+              "node's gradients)\n");
   reporter.Write();
   return 0;
 }

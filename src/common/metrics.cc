@@ -59,103 +59,83 @@ std::string JsonString(const std::string& text) {
 
 // ------------------------------------------------------------------ Histogram
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  counts_.assign(bounds_.size() + 1, 0);
-}
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)), cells_(bounds_.size() + 1) {}
 
 void Histogram::Observe(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const size_t bucket = static_cast<size_t>(it - bounds_.begin());
   std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_[bucket];
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
+  cells_.Observe(bounds_, value);
 }
 
 void Histogram::Merge(const LocalHistogram& local) {
-  if (local.count_ == 0) {
+  if (local.cells_.count == 0) {
     return;
   }
   CHECK(local.bounds_.data() == bounds_.data())
       << "LocalHistogram merged into a histogram it was not built for";
   std::lock_guard<std::mutex> lock(mutex_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += local.counts_[i];
-  }
-  if (count_ == 0) {
-    min_ = local.min_;
-    max_ = local.max_;
-  } else {
-    min_ = std::min(min_, local.min_);
-    max_ = std::max(max_, local.max_);
-  }
-  count_ += local.count_;
-  sum_ += local.sum_;
+  cells_.Merge(local.cells_);
 }
 
 uint64_t Histogram::count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
+  return cells_.count;
 }
 
 double Histogram::sum() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return sum_;
+  return cells_.sum;
 }
 
 double Histogram::min() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return min_;
+  return cells_.min;
 }
 
 double Histogram::max() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return max_;
+  return cells_.max;
 }
 
 std::vector<uint64_t> Histogram::bucket_counts() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
+  return cells_.counts;
 }
 
 double Histogram::Quantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ == 0) {
+  const std::vector<uint64_t>& counts = cells_.counts;
+  const double min = cells_.min;
+  const double max = cells_.max;
+  if (cells_.count == 0) {
     return 0.0;
   }
   q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
+  const double target = q * static_cast<double>(cells_.count);
   double cumulative = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) {
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) {
       continue;
     }
-    const double next = cumulative + static_cast<double>(counts_[i]);
+    const double next = cumulative + static_cast<double>(counts[i]);
     if (next >= target) {
       // Bucket i holds ranks (cumulative, next]; interpolate linearly
       // within its bounds, tightened by the observed extremes (the
       // overflow bucket has no upper bound; min/max cap both ends).
-      double lo = i == 0 ? min_ : bounds_[i - 1];
-      double hi = i < bounds_.size() ? bounds_[i] : max_;
-      lo = std::max(lo, min_);
-      hi = std::min(hi, max_);
+      double lo = i == 0 ? min : bounds_[i - 1];
+      double hi = i < bounds_.size() ? bounds_[i] : max;
+      lo = std::max(lo, min);
+      hi = std::min(hi, max);
       if (hi < lo) {
         hi = lo;
       }
       const double fraction = std::clamp(
-          (target - cumulative) / static_cast<double>(counts_[i]), 0.0, 1.0);
-      return std::clamp(lo + (hi - lo) * fraction, min_, max_);
+          (target - cumulative) / static_cast<double>(counts[i]), 0.0, 1.0);
+      return std::clamp(lo + (hi - lo) * fraction, min, max);
     }
     cumulative = next;
   }
-  return max_;
+  return max;
 }
 
 // ------------------------------------------------------------ LocalHistogram
@@ -163,18 +143,14 @@ double Histogram::Quantile(double q) const {
 LocalHistogram::LocalHistogram(Histogram* target)
     : target_(target),
       bounds_(target->bounds()),
-      counts_(target->bounds().size() + 1, 0) {}
+      cells_(target->bounds().size() + 1) {}
 
 void LocalHistogram::Publish() {
-  if (target_ == nullptr || count_ == 0) {
+  if (target_ == nullptr || cells_.count == 0) {
     return;
   }
   target_->Merge(*this);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
+  cells_.Clear();
 }
 
 // ----------------------------------------------------------- HistogramBuckets

@@ -83,6 +83,49 @@ class CounterPublisher {
   uint64_t published_ = 0;
 };
 
+// Counts, sum and range of a set of observations: the state Histogram and
+// LocalHistogram share, and the one place a value is bucketed and an
+// observation (or a whole accumulator) widens the count, sum, min and max.
+struct HistogramCells {
+  explicit HistogramCells(size_t buckets) : counts(buckets, 0) {}
+
+  void Observe(std::span<const double> bounds, double value) {
+    const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
+    ++counts[static_cast<size_t>(it - bounds.begin())];
+    Widen(1, value, value, value);
+  }
+  void Merge(const HistogramCells& other) {
+    for (size_t i = 0; i < counts.size(); ++i) {
+      counts[i] += other.counts[i];
+    }
+    Widen(other.count, other.sum, other.min, other.max);
+  }
+  void Widen(uint64_t n, double total, double lo, double hi) {
+    if (count == 0) {
+      min = lo;
+      max = hi;
+    } else {
+      min = std::min(min, lo);
+      max = std::max(max, hi);
+    }
+    count += n;
+    sum += total;
+  }
+  void Clear() {
+    std::fill(counts.begin(), counts.end(), 0);
+    count = 0;
+    sum = 0.0;
+    min = 0.0;
+    max = 0.0;
+  }
+
+  std::vector<uint64_t> counts;  // one per bound, plus the overflow bucket
+  uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 class LocalHistogram;
 
 // Fixed-bucket histogram: `bounds` are sorted inclusive upper bounds; an
@@ -114,11 +157,7 @@ class Histogram {
  private:
   const std::vector<double> bounds_;
   mutable std::mutex mutex_;
-  std::vector<uint64_t> counts_;  // bounds_.size() + 1 (overflow last)
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  HistogramCells cells_;
 };
 
 // Single-owner accumulator for one Histogram: Observe is plain arithmetic
@@ -132,35 +171,19 @@ class LocalHistogram {
   LocalHistogram() = default;
   explicit LocalHistogram(Histogram* target);
 
-  void Observe(double value) {
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    ++counts_[static_cast<size_t>(it - bounds_.begin())];
-    if (count_ == 0) {
-      min_ = value;
-      max_ = value;
-    } else {
-      min_ = std::min(min_, value);
-      max_ = std::max(max_, value);
-    }
-    ++count_;
-    sum_ += value;
-  }
+  void Observe(double value) { cells_.Observe(bounds_, value); }
 
   void Publish();
 
   // Observations since the last publish.
-  uint64_t count() const { return count_; }
+  uint64_t count() const { return cells_.count; }
 
  private:
   friend class Histogram;
 
   Histogram* target_ = nullptr;
   std::span<const double> bounds_;
-  std::vector<uint64_t> counts_ = std::vector<uint64_t>(1, 0);
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  HistogramCells cells_ = HistogramCells(1);
 };
 
 // Bucket-boundary helpers for the common shapes.

@@ -190,6 +190,101 @@ StatusOr<FaultConfig> ParseFaultSpec(const std::string& spec) {
   return config;
 }
 
+Status ValidateFaultSchedule(const FaultConfig& faults, int num_nodes) {
+  std::vector<bool> standby(static_cast<size_t>(num_nodes), false);
+  for (const int node : faults.standby_nodes) {
+    if (node < 0 || node >= num_nodes) {
+      return InvalidArgumentError(
+          StrFormat("standby node %d out of range", node));
+    }
+    if (standby[node]) {
+      return InvalidArgumentError(
+          StrFormat("standby node %d listed twice", node));
+    }
+    standby[node] = true;
+  }
+  std::vector<bool> member(static_cast<size_t>(num_nodes), false);
+  std::vector<bool> crashed(static_cast<size_t>(num_nodes), false);
+  int members = 0;
+  for (int node = 0; node < num_nodes; ++node) {
+    member[node] = !standby[node];
+    members += member[node] ? 1 : 0;
+  }
+  if (members == 0) {
+    return InvalidArgumentError("every node is standby");
+  }
+  struct WalkEvent {
+    SimTime at = 0;
+    int order = 0;  // crashes sort before membership events at equal time
+    int node = -1;
+    MembershipEventKind kind = MembershipEventKind::kJoin;
+  };
+  std::vector<WalkEvent> walk;
+  for (const NodeCrash& crash : faults.crashes) {
+    walk.push_back(WalkEvent{crash.at, 0, crash.node, {}});
+  }
+  for (const MembershipEvent& event : faults.membership) {
+    if (event.node < 0 || event.node >= num_nodes) {
+      return InvalidArgumentError(StrFormat(
+          "%s node %d out of range", MembershipEventKindName(event.kind),
+          event.node));
+    }
+    walk.push_back(WalkEvent{event.at, 1, event.node, event.kind});
+  }
+  std::sort(walk.begin(), walk.end(),
+            [](const WalkEvent& a, const WalkEvent& b) {
+              return a.at != b.at     ? a.at < b.at
+                     : a.order != b.order ? a.order < b.order
+                                          : a.node < b.node;
+            });
+  for (const WalkEvent& event : walk) {
+    if (event.order == 0) {  // crash
+      if (member[event.node]) {
+        member[event.node] = false;
+        if (--members == 0) {
+          return InvalidArgumentError("crash schedule empties the cluster");
+        }
+      }
+      crashed[event.node] = true;
+      continue;
+    }
+    switch (event.kind) {
+      case MembershipEventKind::kJoin:
+        if (member[event.node]) {
+          return InvalidArgumentError(
+              StrFormat("join of current member %d", event.node));
+        }
+        if (crashed[event.node]) {
+          return InvalidArgumentError(StrFormat(
+              "join of crashed node %d (use rejoin)", event.node));
+        }
+        member[event.node] = true;
+        ++members;
+        break;
+      case MembershipEventKind::kLeave:
+        if (!member[event.node]) {
+          return InvalidArgumentError(
+              StrFormat("leave of non-member %d", event.node));
+        }
+        member[event.node] = false;
+        if (--members == 0) {
+          return InvalidArgumentError("leave schedule empties the cluster");
+        }
+        break;
+      case MembershipEventKind::kRejoin:
+        if (!crashed[event.node]) {
+          return InvalidArgumentError(StrFormat(
+              "rejoin of node %d without a prior crash", event.node));
+        }
+        crashed[event.node] = false;
+        member[event.node] = true;
+        ++members;
+        break;
+    }
+  }
+  return OkStatus();
+}
+
 FaultConfig MakeChaosSchedule(const ChaosOptions& options) {
   FaultConfig config;
   config.seed = options.seed;

@@ -126,6 +126,14 @@ struct ChaosOptions {
   double degrade_duration_ms = 30.0;
 };
 
+// Static feasibility walk over the crash + membership schedule of a
+// `num_nodes` cluster: standby nodes in range and listed once, joins only
+// admit non-members (never a crashed node), leaves only remove members,
+// rejoins need a prior crash, and the view never empties. Detection timing
+// is dynamic, but the node sets are decidable up front. Returns
+// InvalidArgumentError naming the first violation.
+Status ValidateFaultSchedule(const FaultConfig& faults, int num_nodes);
+
 // The generated schedule always keeps at least two live members, pairs
 // every crash with a later rejoin, and covers each event class at least
 // once when `events` allows.

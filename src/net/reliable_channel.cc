@@ -11,17 +11,36 @@ ReliableChannel::ReliableChannel(Simulator* sim, Network* net,
                                  ReliableTransportConfig config,
                                  MetricsRegistry* metrics,
                                  SpanCollector* spans)
-    : sim_(sim), net_(net), config_(config), spans_(spans) {
+    : sim_(sim),
+      net_(net),
+      config_(config),
+      spans_(spans),
+      publish_hook_(sim, [this] { PublishMetrics(); }) {
   peer_failed_.assign(static_cast<size_t>(net->num_nodes()), false);
   if (metrics != nullptr) {
-    retries_metric_ = &metrics->counter("net.retries");
-    retransmit_bytes_metric_ = &metrics->counter("net.retransmit_bytes");
-    acks_metric_ = &metrics->counter("net.acks");
-    peer_failures_metric_ = &metrics->counter("net.peer_failures");
-    budget_exhausted_metric_ = &metrics->counter("net.retry_budget_exhausted");
-    stale_epoch_metric_ = &metrics->counter("net.stale_epoch_rejected");
-    backoff_us_ = &metrics->histogram("net.backoff_us");
+    auto counter = [metrics](const char* name) {
+      return CounterPublisher(&metrics->counter(name));
+    };
+    retries_metric_ = counter("net.retries");
+    retransmit_bytes_metric_ = counter("net.retransmit_bytes");
+    acks_metric_ = counter("net.acks");
+    peer_failures_metric_ = counter("net.peer_failures");
+    budget_exhausted_metric_ = counter("net.retry_budget_exhausted");
+    stale_epoch_metric_ = counter("net.stale_epoch_rejected");
+    backoff_us_ = LocalHistogram(&metrics->histogram("net.backoff_us"));
   }
+}
+
+ReliableChannel::~ReliableChannel() { PublishMetrics(); }
+
+void ReliableChannel::PublishMetrics() {
+  retries_metric_.Publish(retries_);
+  retransmit_bytes_metric_.Publish(retransmit_bytes_);
+  acks_metric_.Publish(acks_);
+  peer_failures_metric_.Publish(peer_failures_);
+  budget_exhausted_metric_.Publish(budget_exhausted_);
+  stale_epoch_metric_.Publish(stale_epoch_rejected_);
+  backoff_us_.Publish();
 }
 
 SimTime ReliableChannel::AttemptTimeout(const NetMessage& message) const {
@@ -113,9 +132,6 @@ void ReliableChannel::Attempt(uint64_t id) {
         // Reject it (still acked below — the *transfer* is done, the
         // content is just obsolete).
         ++stale_epoch_rejected_;
-        if (stale_epoch_metric_ != nullptr) {
-          stale_epoch_metric_->Increment();
-        }
       } else if (deliver_it->second.on_deliver) {
         deliver_it->second.on_deliver(delivered);
       }
@@ -132,9 +148,6 @@ void ReliableChannel::Attempt(uint64_t id) {
       }
       ack_it->second.done = true;
       ++acks_;
-      if (acks_metric_ != nullptr) {
-        acks_metric_->Increment();
-      }
       auto on_complete = std::move(ack_it->second.on_complete);
       transfers_.erase(ack_it);
       on_complete(OkStatus());
@@ -154,9 +167,7 @@ void ReliableChannel::HandleTimeout(uint64_t id, int attempt) {
     // Blame the endpoint that actually died: a crashed *sender* blackholes
     // its own retransmits, and declaring the destination failed would evict
     // an innocent node from the topology.
-    if (budget_exhausted_metric_ != nullptr) {
-      budget_exhausted_metric_->Increment();
-    }
+    ++budget_exhausted_;
     const int dead = !net_->alive(transfer.message.src)
                          ? transfer.message.src
                          : transfer.message.dst;
@@ -169,19 +180,14 @@ void ReliableChannel::HandleTimeout(uint64_t id, int attempt) {
     return;
   }
   ++retries_;
-  if (retries_metric_ != nullptr) {
-    retries_metric_->Increment();
-    retransmit_bytes_metric_->Increment(transfer.message.bytes);
-  }
+  retransmit_bytes_ += transfer.message.bytes;
   if (flight_ != nullptr) {
     flight_->Record(transfer.message.src, ev_retry_, sim_->now(),
                     static_cast<uint64_t>(transfer.message.dst),
                     static_cast<uint64_t>(transfer.attempts));
   }
   const SimTime backoff = BackoffDelay(transfer.attempts);
-  if (backoff_us_ != nullptr) {
-    backoff_us_->Observe(static_cast<double>(backoff) / kMicrosecond);
-  }
+  backoff_us_.Observe(static_cast<double>(backoff) / kMicrosecond);
   if (spans_ != nullptr) {
     spans_->Add(transfer.message.src, kTraceLaneRetry,
                 StrFormat("backoff #%d ->%d", transfer.attempts,
@@ -196,9 +202,7 @@ void ReliableChannel::MarkPeerFailed(int peer) {
   if (first_failure) {
     peer_failed_[peer] = true;
     failed_peers_.push_back(peer);
-    if (peer_failures_metric_ != nullptr) {
-      peer_failures_metric_->Increment();
-    }
+    ++peer_failures_;
   }
   // Fail every open transfer touching the dead peer (either direction), not
   // just the one whose budget ran out — they would each waste a full budget

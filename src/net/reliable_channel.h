@@ -46,12 +46,18 @@ struct ReliableTransportConfig {
 class ReliableChannel {
  public:
   // `metrics` (optional) receives "net.retries", "net.retransmit_bytes",
-  // "net.acks", "net.peer_failures" and the "net.backoff_us" histogram;
-  // `spans` (optional) records each backoff wait on the sender's
-  // "net:retry" lane.
+  // "net.acks", "net.peer_failures", "net.retry_budget_exhausted",
+  // "net.stale_epoch_rejected" and the "net.backoff_us" histogram. The
+  // per-frame paths bump plain tallies, published into the registry when
+  // the simulator's Run()/RunUntil() returns and when the channel is
+  // destroyed (Simulator::PublishHook). `spans` (optional) records each
+  // backoff wait on the sender's "net:retry" lane.
   ReliableChannel(Simulator* sim, Network* net, ReliableTransportConfig config,
                   MetricsRegistry* metrics = nullptr,
                   SpanCollector* spans = nullptr);
+  ~ReliableChannel();
+  ReliableChannel(const ReliableChannel&) = delete;
+  ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   // Sends `message` reliably; `on_complete` fires with OkStatus() once the
   // sender observes the ack (possibly after retries), or with an
@@ -125,18 +131,21 @@ class ReliableChannel {
   void MarkPeerFailed(int peer);
   SimTime AttemptTimeout(const NetMessage& message) const;
   SimTime BackoffDelay(int attempt) const;
+  void PublishMetrics();
 
   Simulator* sim_;
   Network* net_;
   ReliableTransportConfig config_;
   SpanCollector* spans_ = nullptr;
-  Counter* retries_metric_ = nullptr;
-  Counter* retransmit_bytes_metric_ = nullptr;
-  Counter* acks_metric_ = nullptr;
-  Counter* peer_failures_metric_ = nullptr;
-  Counter* budget_exhausted_metric_ = nullptr;
-  Counter* stale_epoch_metric_ = nullptr;
-  Histogram* backoff_us_ = nullptr;
+  // Registry counters the tallies below publish into; unbound when no
+  // registry is wired.
+  CounterPublisher retries_metric_;
+  CounterPublisher retransmit_bytes_metric_;
+  CounterPublisher acks_metric_;
+  CounterPublisher peer_failures_metric_;
+  CounterPublisher budget_exhausted_metric_;
+  CounterPublisher stale_epoch_metric_;
+  LocalHistogram backoff_us_;
   // Black-box event sink and interned ids (set_flight_recorder).
   FlightRecorder* flight_ = nullptr;
   uint16_t ev_retry_ = 0;
@@ -148,9 +157,13 @@ class ReliableChannel {
   std::vector<int> failed_peers_;
   uint64_t next_transfer_id_ = 1;
   uint64_t retries_ = 0;
+  uint64_t retransmit_bytes_ = 0;
   uint64_t acks_ = 0;
+  uint64_t peer_failures_ = 0;
+  uint64_t budget_exhausted_ = 0;
   uint64_t epoch_ = 0;
   uint64_t stale_epoch_rejected_ = 0;
+  Simulator::PublishHook publish_hook_;
 };
 
 }  // namespace hipress

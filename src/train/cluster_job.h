@@ -13,11 +13,9 @@
 // to bandwidth it actually observes.
 //
 // Each job is a BSP loop chained through simulator events (no per-iteration
-// drain — jobs progress concurrently at their own pace): compute on every
-// job node, per-unit sync graphs built over the job's global node ids via
-// AppendSyncTasksOver, a barrier when the last unit lands, then the next
-// iteration. Per-job results surface both in ClusterJobReport and as
-// "job<k>.*" gauges on the shared registry.
+// drain): its JobSync (src/train/job_plan.h) runs an iteration over the
+// job's global node ids, and the barrier event starts the next. Per-job
+// results surface in ClusterJobReport and as "job<k>.*" gauges.
 #ifndef HIPRESS_SRC_TRAIN_CLUSTER_JOB_H_
 #define HIPRESS_SRC_TRAIN_CLUSTER_JOB_H_
 
@@ -123,11 +121,13 @@ std::vector<std::vector<int>> AssignJobNodes(int num_nodes, int num_jobs,
                                              JobPlacement placement);
 
 // Runs every job to completion on one shared cluster; deterministic for
-// fixed options. Jobs are validated and planned by the code
+// fixed options. Jobs are validated, planned and synchronized by the code
 // SimulateTraining uses (src/train/job_plan.h). Crash and membership
 // faults and sequential_collectives systems (ring, ring-oss) are rejected:
-// multi-job runs model contention, not churn, and have no
-// ordered-collectives pump.
+// multi-job runs model contention, not churn, on one shared network. Under
+// message loss, a peer declared failed (retry budget exhausted) makes the
+// run return UNAVAILABLE naming the job and the peer: a job report has no
+// degraded mode.
 StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options);
 
 }  // namespace hipress

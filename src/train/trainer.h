@@ -43,7 +43,7 @@ struct TrainOptions {
   SimTime launch_overhead = FromMicros(50.0);
   // Straggler injection: node `straggler_node` computes
   // `straggler_factor` times slower (its gradients — which every
-  // aggregation needs — arrive late, stretching BSP iterations).
+  // aggregation needs — arrive late, stretching BSP and SSP iterations).
   int straggler_node = -1;
   double straggler_factor = 1.0;
   // Bounded staleness (SSP, the paper's Section 7 extension): iteration k

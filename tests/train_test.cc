@@ -208,6 +208,29 @@ TEST(StragglerTest, SlowNodeStretchesBspIterations) {
             static_cast<SimTime>(clean->report.iteration_time * 1.8));
 }
 
+TEST(StragglerTest, SlowNodeStretchesSspIterations) {
+  // SSP pipelines iterations but still aggregates every node's gradients,
+  // so the straggler's compute gates each iteration as it does under BSP.
+  auto profile = GetModelProfile("resnet50");
+  ASSERT_TRUE(profile.ok());
+  ClusterSpec cluster = ClusterSpec::Ec2(4);
+  cluster.net.link_bandwidth = Bandwidth::Gbps(10.0);
+  auto config = MakeSystemConfig("hipress-ps", cluster, "onebit");
+  ASSERT_TRUE(config.ok());
+  TrainOptions options;
+  options.staleness = 1;
+  options.iterations = 6;
+  auto clean = SimulateTraining(*profile, *config, options);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  options.straggler_node = 1;
+  options.straggler_factor = 1.5;
+  auto slow = SimulateTraining(*profile, *config, options);
+  ASSERT_TRUE(slow.ok()) << slow.status();
+  EXPECT_GE(slow->iteration_time,
+            static_cast<SimTime>(clean->iteration_time * 1.4));
+  EXPECT_LT(slow->throughput, clean->throughput);
+}
+
 TEST(StragglerTest, StragglerKnobsSurfaceInMetrics) {
   // The straggler knobs must show up both in the report and in the
   // observability layer: the iteration histogram/gauge stretch by roughly

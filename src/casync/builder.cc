@@ -252,15 +252,12 @@ void AppendSyncTasks(const SyncConfig& config, const GradientSync& gradient,
 void AppendSyncTasksOver(const SyncConfig& config, const GradientSync& gradient,
                          const std::vector<int>& nodes, TaskGraph* graph) {
   CHECK_GT(nodes.size(), 0u);
-  SyncConfig degraded = config;
-  degraded.num_nodes = static_cast<int>(nodes.size());
-  GradientSync clamped = gradient;
-  clamped.partitions = std::min(std::max(1, gradient.partitions),
-                                degraded.num_nodes);
+  SyncConfig over = config;
+  over.num_nodes = static_cast<int>(nodes.size());
   const size_t first = graph->size();
-  AppendSyncTasks(degraded, clamped, graph);
+  AppendSyncTasks(over, gradient, graph);
   // The builders emitted logical ids in [0, nodes.size()); map them onto the
-  // surviving physical nodes.
+  // listed physical nodes.
   for (size_t id = first; id < graph->size(); ++id) {
     TaskRecord& task = graph->task(static_cast<TaskId>(id));
     if (task.node >= 0) {

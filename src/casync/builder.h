@@ -108,11 +108,12 @@ SyncTaskCounts CountSyncTasks(const SyncConfig& config,
 void AppendSyncTasks(const SyncConfig& config, const GradientSync& gradient,
                      TaskGraph* graph, const SyncData* data = nullptr);
 
-// Degraded-mode variant: builds the same strategy topology over only the
-// physical nodes listed in `nodes` (the survivors after a node failure),
-// in order. The builder runs with num_nodes = nodes.size() and the logical
+// Builds the same strategy topology over only the physical nodes listed in
+// `nodes`, in order: a job's participants, or the survivors after a node
+// failure. The builder runs with num_nodes = nodes.size() and the logical
 // node/peer ids are then remapped through `nodes`, so any strategy composes
-// with any survivor set. Partition counts are clamped to the survivor count.
+// with any node set. The plan's partition count is kept as it is; over
+// every node in id order the graph equals AppendSyncTasks'.
 void AppendSyncTasksOver(const SyncConfig& config, const GradientSync& gradient,
                          const std::vector<int>& nodes, TaskGraph* graph);
 

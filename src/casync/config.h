@@ -74,11 +74,9 @@ struct SyncConfig {
   SimTime bulk_timeout = FromMicros(150.0);
 
   // --- fault tolerance ----------------------------------------------------
-  // Route sync-path transfers through the ack/retry/backoff ReliableChannel
-  // (docs/FAULT_TOLERANCE.md). Engaged automatically whenever fault
-  // injection is configured (net.faults); set it explicitly to pay the ack
-  // overhead even on a perfect network.
-  bool reliable_transport = false;
+  // Sync-path transfers go through the ack/retry/backoff ReliableChannel
+  // (docs/FAULT_TOLERANCE.md) whenever fault injection is configured
+  // (net.faults); these are its timeouts, budget and backoff.
   ReliableTransportConfig reliable;
 
   // --- platform -----------------------------------------------------------

@@ -100,7 +100,7 @@ CaSyncEngine::CaSyncEngine(Simulator* sim, Network* net,
   }
   node_failed_.assign(gpus_.size(), false);
   graphs_cancelled_ = &metrics_->counter("engine.graphs_cancelled");
-  if (config_.reliable_transport || config_.net.faults.any()) {
+  if (config_.net.faults.any()) {
     reliable_ = std::make_unique<ReliableChannel>(sim_, net_, config_.reliable,
                                                   metrics_, spans);
     reliable_->set_on_peer_failure([this](int peer) { OnPeerFailure(peer); });

@@ -66,10 +66,6 @@ std::vector<HealthRule> HealthMonitor::DefaultTrainerRules() {
   // warm (min_history skips the warm-up iterations).
   rules.push_back(HealthRule{"pool_miss_growth", "net.pool_misses",
                              HealthRuleKind::kAboveValue, 0.0, 3, 2, 2});
-  // Scheduler queue-depth blowup vs. the run's own rolling baseline.
-  rules.push_back(HealthRule{"queue_blowup", "sim.queue_depth",
-                             HealthRuleKind::kAboveMedianFactor, 4.0, 3, 2,
-                             2});
   return rules;
 }
 

@@ -94,7 +94,7 @@ class HealthMonitor {
   // The standard trainer rule set over the series the trainer feeds:
   // stall (train.iteration_ms), bw_collapse (net.send_gbps), retry_storm
   // (net.retries delta), pool_miss_growth (net.pool_misses delta past
-  // warm-up), queue_blowup (sim.queue_depth).
+  // warm-up).
   static std::vector<HealthRule> DefaultTrainerRules();
 
   // Invoked once per trip, after the recorder event and metrics; the

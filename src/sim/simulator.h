@@ -25,11 +25,12 @@
 // The `(when, seq)` FIFO tie-break of the original global heap is
 // preserved exactly, so existing runs stay bit-identical.
 //
-// Publish hooks run each time Run() or RunUntil() returns: the components
-// on the per-event path (network, GPU devices, CaSync engine, bulk
-// coordinator) tally their metrics in plain fields and publish them into
-// their MetricsRegistry from a hook, so the event loop pays no lock or
-// atomic for instrumentation (src/common/metrics.h).
+// Publish hooks run each time Run() or RunUntil() returns, and when a
+// caller runs RunPublishHooks(): the components on the per-event path
+// (network, GPU devices, CaSync engine, bulk coordinator) tally their
+// metrics in plain fields and publish them into their MetricsRegistry
+// from a hook, so the event loop pays no lock or atomic for
+// instrumentation (src/common/metrics.h).
 #ifndef HIPRESS_SRC_SIM_SIMULATOR_H_
 #define HIPRESS_SRC_SIM_SIMULATOR_H_
 
@@ -106,6 +107,10 @@ class Simulator {
 
   // Runs a single event if one is pending; returns false when idle.
   bool Step();
+
+  // Runs every publish hook now, as a return from Run() does: for a reader
+  // that samples a registry from inside an event callback.
+  void RunPublishHooks();
 
   bool idle() const { return queued_ == 0; }
 
@@ -230,7 +235,6 @@ class Simulator {
   void BuildFrameFromOuter(int bucket);
   void NarrowFrame(int bucket);
   void DrainAll();
-  void RunPublishHooks();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;

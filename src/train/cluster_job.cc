@@ -27,9 +27,6 @@ struct Job {
   JobPlan plan;
   std::unique_ptr<CaSyncEngine> engine;
   std::unique_ptr<JobSync> sync;
-  JobSync::Round* round = nullptr;  // the iteration in flight
-  int iteration = 0;
-  SimTime iter_start = 0;
   ClusterJobReport report;
 };
 
@@ -119,11 +116,8 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   // -------------------------------------------------------------------
   // Per-job setup: the validator and planner SimulateTraining calls (codec
   // rates, SeCoPa scan, fusion buckets, local aggregation, adaptive
-  // ladder). A solo hipress-ps or hipress-ring job reproduces the
-  // single-job trainer's iteration times bit for bit. Plans with more
-  // partitions than job nodes do not: AppendSyncTasksOver clamps them to
-  // the job size (byteps vgg19 at n = 16 runs 245.59 ms per iteration here,
-  // 217.71 ms in SimulateTraining; docs/TOPOLOGY.md).
+  // ladder). A solo job reproduces the single-job trainer's iteration
+  // times bit for bit.
   // -------------------------------------------------------------------
   std::vector<std::unique_ptr<Job>> jobs;
   jobs.reserve(static_cast<size_t>(num_jobs));
@@ -179,8 +173,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
         job->report.engine_metrics.get(), fabric.spans.get());
     job->sync = std::make_unique<JobSync>(
         &fabric, job->engine.get(), job->plan_config, &job->plan,
-        JobSync::Options{.launch_overhead = options.launch_overhead,
-                         .always_over_nodes = true});
+        JobSync::Options{.launch_overhead = options.launch_overhead});
   }
 
   // -------------------------------------------------------------------
@@ -207,80 +200,70 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   }
 
   // -------------------------------------------------------------------
-  // Event-driven BSP: each job chains its own iterations through simulator
-  // events; there is no global drain between iterations, so jobs overlap
-  // freely and contend on the shared links.
+  // Event-driven BSP: each job's JobSync chains its iterations at their
+  // barriers, so jobs overlap freely and contend on the shared links.
   // -------------------------------------------------------------------
   int jobs_warm = 0;
   int jobs_done = 0;
   uint64_t steady_miss_baseline = 0;
   bool steady_baseline_set = false;
 
-  std::function<void(Job*)> start_iteration;
-  std::function<void(Job*)> finish_iteration;
-
-  start_iteration = [&](Job* job) {
-    job->iter_start = sim.now();
-    job->round =
-        job->sync->Start(job->nodes, [&, job](const JobSync::Round& round) {
-          sim.ScheduleAt(round.end, [&, job] { finish_iteration(job); });
+  for (const auto& owned : jobs) {
+    Job* const job = owned.get();
+    job->sync->Drive(
+        &job->nodes, job->spec.iterations, /*staleness=*/0,
+        [&, job](JobSync::Round& round, std::function<void()> next) {
+          const int iteration = round.iteration;
+          const SimTime end = round.end;
+          const SimTime took = end - round.compute_start;
+          job->report.iteration_end.push_back(end);
+          metrics
+              ->histogram(job->prefix + ".iteration_ms",
+                          HistogramBuckets::Exponential(1.0, 2.0, 16))
+              .Observe(ToMillis(took));
+          if (flight) {
+            flight->Record(job->nodes.front(), ev_job_iter, end,
+                           static_cast<uint64_t>(iteration),
+                           static_cast<uint64_t>(took));
+          }
+          if (watchdog) {
+            // Queue depth is sampled mid-run here (other jobs still in
+            // flight), so the blowup rule watches genuinely live backlog.
+            hub.Series(job->prefix + ".iteration_ms")
+                .Observe(end, ToMillis(took));
+            metrics->gauge("sim.queue_depth")
+                .Set(static_cast<double>(sim.queue_depth()));
+            hub.SampleAll(end);
+            watchdog->Evaluate(end);
+          }
+          // Every graph of this job has completed, so its engine is idle
+          // even while other jobs' traffic is still in flight: the
+          // adaptive boundary cannot touch in-flight state.
+          const IterationAttribution attrib = job->sync->Finish(&round);
+          if (iteration + 1 == job->spec.iterations) {
+            job->report.iteration_time = took;
+            job->report.cp_attribution = attrib.attribution;
+            job->report.send_share =
+                attrib.attribution.Share(CpCategory::kSend);
+            if (job->plan.adaptive) {
+              job->report.adaptive = job->plan.adaptive->Report();
+            }
+            ++jobs_done;
+          }
+          if (iteration == 0 && ++jobs_warm == num_jobs) {
+            // Every pool (scheduler slabs, wire buffers) has now seen a
+            // full cluster-wide iteration; later misses indicate unbounded
+            // growth.
+            steady_miss_baseline = sim.sched_pool_misses();
+            steady_baseline_set = true;
+          }
+          // Once any job lost a peer, no job chains another iteration.
+          if (std::ranges::all_of(jobs, [](const std::unique_ptr<Job>& other) {
+                return other->engine->failed_nodes().empty();
+              })) {
+            next();
+          }
         });
-  };
-
-  finish_iteration = [&](Job* job) {
-    const SimTime end = sim.now();
-    job->report.iteration_end.push_back(end);
-    metrics
-        ->histogram(job->prefix + ".iteration_ms",
-                    HistogramBuckets::Exponential(1.0, 2.0, 16))
-        .Observe(ToMillis(end - job->iter_start));
-    if (flight) {
-      flight->Record(job->nodes.front(), ev_job_iter, end,
-                     static_cast<uint64_t>(job->iteration),
-                     static_cast<uint64_t>(end - job->iter_start));
-    }
-    if (watchdog) {
-      // Queue depth is sampled mid-run here (other jobs still in flight),
-      // so the blowup rule watches genuinely live backlog.
-      hub.Series(job->prefix + ".iteration_ms")
-          .Observe(end, ToMillis(end - job->iter_start));
-      metrics->gauge("sim.queue_depth")
-          .Set(static_cast<double>(sim.queue_depth()));
-      hub.SampleAll(end);
-      watchdog->Evaluate(end);
-    }
-
-    // Every graph of this job has completed, so its engine is idle even
-    // while other jobs' traffic is still in flight: the adaptive boundary
-    // cannot touch in-flight state.
-    const IterationAttribution attrib =
-        job->sync->Finish(job->round, job->iteration);
-    const bool last = job->iteration + 1 == job->spec.iterations;
-    if (last) {
-      job->report.iteration_time = end - job->iter_start;
-      job->report.cp_attribution = attrib.attribution;
-      job->report.send_share = attrib.attribution.Share(CpCategory::kSend);
-    }
-
-    if (job->iteration == 0 && ++jobs_warm == num_jobs) {
-      // Every pool (scheduler slabs, wire buffers) has now seen a full
-      // cluster-wide iteration; later misses indicate unbounded growth.
-      steady_miss_baseline = sim.sched_pool_misses();
-      steady_baseline_set = true;
-    }
-    ++job->iteration;
-    if (last) {
-      if (job->plan.adaptive) {
-        job->report.adaptive = job->plan.adaptive->Report();
-      }
-      ++jobs_done;
-      return;
-    }
-    start_iteration(job);
-  };
-
-  for (const auto& job : jobs) {
-    start_iteration(job.get());
   }
   sim.Run();
 

@@ -125,9 +125,9 @@ std::vector<std::vector<int>> AssignJobNodes(int num_nodes, int num_jobs,
 // SimulateTraining uses (src/train/job_plan.h). Crash and membership
 // faults and sequential_collectives systems (ring, ring-oss) are rejected:
 // multi-job runs model contention, not churn, on one shared network. Under
-// message loss, a peer declared failed (retry budget exhausted) makes the
-// run return UNAVAILABLE naming the job and the peer: a job report has no
-// degraded mode.
+// message loss, a peer declared failed (retry budget exhausted) stops
+// every job at its next barrier and makes the run return UNAVAILABLE
+// naming the job and the peer: a job report has no degraded mode.
 StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options);
 
 }  // namespace hipress

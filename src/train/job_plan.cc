@@ -314,15 +314,30 @@ JobSync::JobSync(Fabric* fabric, CaSyncEngine* engine,
       static_cast<double>(plan->compute_time) * stretch_);
 }
 
-JobSync::Round* JobSync::Start(const std::vector<int>& members,
-                               std::function<void(const Round&)> on_synced) {
+void JobSync::Drive(const std::vector<int>* members, int iterations,
+                    int staleness, Step step) {
+  members_ = members;
+  staleness_ = staleness;
+  step_ = std::move(step);
+  released_.assign(static_cast<size_t>(iterations), false);
+  StartReady();
+}
+
+void JobSync::StartReady() {
+  while (started_ < std::ssize(released_) &&
+         (started_ <= staleness_ || released_[started_ - 1 - staleness_])) {
+    Start(started_++);
+  }
+}
+
+void JobSync::Start(int iteration) {
   std::erase_if(rounds_, [this](const std::unique_ptr<Round>& round) {
     return round->remaining == 0 && round.get() != completing_;
   });
   Round* round = rounds_.emplace_back(std::make_unique<Round>()).get();
-  round->on_synced = std::move(on_synced);
+  round->iteration = iteration;
   // Failed or departed nodes neither compute nor synchronize.
-  round->nodes = Alive(members);
+  round->nodes = Alive(*members_);
   // Compute queues FIFO on each device: the lead node's compute starts
   // when its stream frees up.
   const int lead = std::ranges::count(round->nodes, options_.straggler_node)
@@ -363,20 +378,13 @@ JobSync::Round* JobSync::Start(const std::vector<int>& members,
     sim_->ScheduleAt(when,
                      [this, round, i, graph] { Launch(round, i, graph); });
   }
-  return round;
 }
 
 TaskGraph* JobSync::Build(Round* round, size_t unit,
                           const std::vector<int>& nodes) {
   TaskGraph* graph =
       round->graphs.emplace_back(std::make_unique<TaskGraph>()).get();
-  const GradientSync& sync = plan_->units[unit].plan;
-  if (options_.always_over_nodes ||
-      static_cast<int>(nodes.size()) != config_.num_nodes) {
-    AppendSyncTasksOver(config_, sync, nodes, graph);
-  } else {
-    AppendSyncTasks(config_, sync, graph);
-  }
+  AppendSyncTasksOver(config_, plan_->units[unit].plan, nodes, graph);
   return graph;
 }
 
@@ -414,10 +422,18 @@ void JobSync::UnitSynced(Round* round) {
     round->sync_end = sim_->now();
     round->end =
         std::max(round->sync_end, round->compute_start + slowest_compute_);
-    if (round->on_synced) {
+    auto close = [this, round] {
       Round* const outer = std::exchange(completing_, round);
-      round->on_synced(*round);
+      step_(*round, [this, iteration = round->iteration] {
+        released_[iteration] = true;
+        StartReady();
+      });
       completing_ = outer;
+    };
+    if (staleness_ > 0) {
+      close();
+    } else {
+      sim_->ScheduleAt(round->end, close);
     }
   }
   if (config_.sequential_collectives) {
@@ -438,7 +454,7 @@ void JobSync::Pump() {
                   graph = next.graph] { Launch(round, unit, graph); });
 }
 
-IterationAttribution JobSync::Finish(Round* round, int iteration,
+IterationAttribution JobSync::Finish(Round* round,
                                      AdaptiveDecision* decision) {
   std::vector<const TaskGraph*> views;
   views.reserve(round->graphs.size());
@@ -452,7 +468,7 @@ IterationAttribution JobSync::Finish(Round* round, int iteration,
     // plans and a codec swap cannot touch in-flight graphs or pooled wire
     // buffers. The next iteration builds from the refreshed plans.
     const AdaptiveDecision made =
-        plan_->Adapt(iteration, attrib.attribution, engine_);
+        plan_->Adapt(round->iteration, attrib.attribution, engine_);
     if (decision != nullptr) {
       *decision = made;
     }

@@ -1,10 +1,10 @@
 // What SimulateTraining and RunClusterJobs share (internal to src/train):
 // the feature-combination validator, the per-job gradient plan (SeCoPa's
 // <compress?, K>, fusion buckets, local aggregation, the adaptive ladder),
-// the simulated fabric a run executes on, and the per-iteration sync
-// graphs (JobSync: build, launch, recovery, attribution). Both entry points
-// call these, so a gradient is priced and launched the same way whichever
-// loop runs it.
+// the simulated fabric a run executes on, and the iteration chain with its
+// sync graphs (JobSync: drive, build, launch, recovery, attribution). Both
+// entry points call these, so a gradient is priced and launched the same
+// way whichever loop runs it.
 #ifndef HIPRESS_SRC_TRAIN_JOB_PLAN_H_
 #define HIPRESS_SRC_TRAIN_JOB_PLAN_H_
 
@@ -106,17 +106,16 @@ struct Fabric {
   std::shared_ptr<FlightRecorder> flight;
 };
 
-// One job's gradient synchronization, iteration by iteration: what
-// SimulateTraining's BSP and SSP loops and RunClusterJobs all do. Start()
-// submits an iteration's forward + backward, builds one task graph per
-// sync unit and launches each when its gradients are ready: concurrently
-// (CaSync) or in unit order through Horovod's ordered collectives. Every
-// launch goes through one launcher, which rebuilds a graph cancelled by a
-// peer failure over the surviving participants and runs it again, so a
-// unit counts as synchronized only once one of its graphs completed.
-// Finish() closes an iteration: critical-path attribution over its graphs
-// (recovery rebuilds included), the adaptive boundary, and the graphs'
-// release. How iterations are driven stays with the callers.
+// One job's iteration chain: what SimulateTraining's BSP and SSP loops and
+// RunClusterJobs all run. Drive() chains the iterations through simulator
+// events. Each submits its forward + backward, builds one task graph per
+// sync unit over the participants and launches each when its gradients
+// are ready: concurrently (CaSync) or in unit order through Horovod's
+// ordered collectives. One launcher rebuilds a graph cancelled by a peer
+// failure over the survivors and runs it again, so a unit counts as
+// synchronized only once one of its graphs completed. Finish() closes an
+// iteration: critical-path attribution over its graphs (recovery rebuilds
+// included), the adaptive boundary, and the graphs' release.
 class JobSync {
  public:
   struct Options {
@@ -125,14 +124,11 @@ class JobSync {
     // shard gates every aggregation, so launches follow its timeline.
     int straggler_node = -1;
     double straggler_factor = 1.0;
-    // Build graphs over the participant list (AppendSyncTasksOver, which
-    // clamps partitions to its size) even at full strength: a cluster job
-    // addresses a subset of the cluster's nodes.
-    bool always_over_nodes = false;
   };
 
   struct Round {
-    std::vector<int> nodes;  // the members Start() found not failed
+    int iteration = 0;
+    std::vector<int> nodes;  // the members found not failed at the start
     // When the lead node's compute starts (the straggler's, when it takes
     // part); every launch keys off it.
     SimTime compute_start = 0;
@@ -144,8 +140,13 @@ class JobSync {
     // One graph per unit, then every recovery rebuild.
     std::vector<std::unique_ptr<TaskGraph>> graphs;
     size_t remaining = 0;  // units not yet synchronized
-    std::function<void(const Round&)> on_synced;
   };
+
+  // Closes an iteration: BSP (staleness 0) in an event at its barrier,
+  // round.end; SSP inside its last unit's completion. Calling `next`, now
+  // or from a later event, releases it to the chain; never calling it
+  // stops the job.
+  using Step = std::function<void(Round& round, std::function<void()> next)>;
 
   // `config` sizes the graphs' strategy; it and `plan`, whose units each
   // iteration is built from, must outlive this object.
@@ -155,16 +156,16 @@ class JobSync {
   JobSync(const JobSync&) = delete;
   JobSync& operator=(const JobSync&) = delete;
 
-  // Starts an iteration now over `members`; `on_synced` (may be empty)
-  // runs inside the last unit's completion callback. First frees every
-  // synchronized round but the one completing, so iterations chained from
-  // `on_synced` keep at most the unsynchronized ones and one more alive.
-  Round* Start(const std::vector<int>& members,
-               std::function<void(const Round&)> on_synced);
+  // Runs `iterations` iterations over `*members`, which is read at each
+  // start and must outlive the run; starts what the bound admits now.
+  // Iteration k starts once iteration k-1-staleness was released. A round
+  // no longer in flight is freed at the next start, or by Finish().
+  void Drive(const std::vector<int>* members, int iterations, int staleness,
+             Step step);
   // Closes a synchronized iteration: attributes [compute_start, end),
   // runs the adaptive decision (stored in `decision` when non-null) and
-  // frees the round. Not from inside a completion callback.
-  IterationAttribution Finish(Round* round, int iteration,
+  // frees the round. Only from a BSP step.
+  IterationAttribution Finish(Round* round,
                               AdaptiveDecision* decision = nullptr);
 
   // Unit graphs rebuilt over survivors after a cancellation, whole run.
@@ -179,6 +180,9 @@ class JobSync {
     bool ready = false;
   };
 
+  // Starts every iteration the staleness bound admits.
+  void StartReady();
+  void Start(int iteration);
   // Appends unit `unit`'s graph over `nodes` to the round's graphs.
   TaskGraph* Build(Round* round, size_t unit, const std::vector<int>& nodes);
   // `nodes` minus those the transport declared failed.
@@ -196,8 +200,14 @@ class JobSync {
   double stretch_ = 1.0;
   SimTime slowest_compute_ = 0;
   uint64_t recoveries_ = 0;
+  // The drive: view, bound, step, iterations started and released.
+  const std::vector<int>* members_ = nullptr;
+  int staleness_ = 0;
+  Step step_;
+  int started_ = 0;
+  std::vector<bool> released_;
   std::vector<std::unique_ptr<Round>> rounds_;
-  Round* completing_ = nullptr;  // whose on_synced is running
+  Round* completing_ = nullptr;  // whose step is running
   // Ordered collectives: the front is in flight or next. A deque, so the
   // scheduled MarkReady events' pointers survive pushes and pops.
   std::deque<Queued> queue_;

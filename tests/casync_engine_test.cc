@@ -349,11 +349,12 @@ TEST(EngineLifetimeTest, CancelledGraphReleasesItsRecordAfterStragglers) {
   // A node crashes halfway through a PS graph over reliable transport. The
   // retry budget runs out, the graph is cancelled, and the transfers the
   // channel fails with it return to the engine after on_done: stragglers
-  // that must still release the graph's record.
+  // that must still release the graph's record. The clean run engages the
+  // channel with a crash scheduled long after it ends.
   for (const bool bulk : {false, true}) {
     SyncConfig config = TestConfig(8);
     config.bulk = bulk;
-    config.reliable_transport = true;
+    config.net.faults.crashes.push_back({5, FromSeconds(3600.0)});
     GradientSync gradient;
     gradient.bytes = 4 * kMiB;
     gradient.compress = true;
@@ -368,7 +369,7 @@ TEST(EngineLifetimeTest, CancelledGraphReleasesItsRecordAfterStragglers) {
       clean_time = cluster.sim.Run();
     }
     ASSERT_GT(clean_time, 0);
-    config.net.faults.crashes.push_back({5, clean_time / 2});
+    config.net.faults.crashes[0].at = clean_time / 2;
     Cluster cluster(config);
     TaskGraph graph;
     AppendSyncTasks(config, gradient, &graph);

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/string_util.h"
 #include "src/models/model_profile.h"
 #include "src/train/cluster_job.h"
 #include "src/train/trainer.h"
@@ -201,7 +202,7 @@ TEST(ClusterGoldenScheduleTest, FingerprintsMatchRecordedSchedules) {
     spec.adaptive.candidate_algorithms = {"dgc"};
   }
   // BytePS slices vgg19's large gradients into more 4 MB partitions than
-  // a job has nodes, so the multi-job partition clamp is exercised.
+  // a job has nodes; every partition keeps its own aggregator slot.
   ClusterJobsOptions byteps;
   byteps.cluster = ClusterSpec::Ec2(8);
   for (int k = 0; k < 2; ++k) {
@@ -219,7 +220,7 @@ TEST(ClusterGoldenScheduleTest, FingerprintsMatchRecordedSchedules) {
       {"striped", striped, 0x655b50a5c26ae747ULL},
       {"packed", packed, 0x8615ee1e2241c22eULL},
       {"adaptive", adaptive, 0x657db546ee285c1aULL},
-      {"byteps-vgg19", byteps, 0x1ccb97a0dca68f52ULL},
+      {"byteps-vgg19", byteps, 0xd20667bcd280a88ULL},
   };
   for (const auto& c : cases) {
     auto run = RunClusterJobs(c.options);
@@ -230,39 +231,49 @@ TEST(ClusterGoldenScheduleTest, FingerprintsMatchRecordedSchedules) {
 }
 
 TEST(ClusterJobTest, SoloJobReproducesSingleJobTrainer) {
-  // One job alone on the fabric prices and runs its gradients exactly as
-  // SimulateTraining does: bit-equal per-iteration times.
-  for (const char* system : {"hipress-ps", "hipress-ring"}) {
-    ClusterJobsOptions options;
-    options.cluster = ClusterSpec::Ec2(4);
-    ClusterJobSpec spec;
-    spec.model = "resnet50";
-    spec.system = system;
-    spec.iterations = 3;
-    options.jobs.push_back(spec);
-    auto solo = RunClusterJobs(options);
-    ASSERT_TRUE(solo.ok()) << system << ": " << solo.status();
+  // One job alone on the fabric prices, builds and runs its gradients
+  // exactly as SimulateTraining does: bit-equal per-iteration times for
+  // every system both accept, including plans with more partitions than
+  // nodes (BytePS slicing vgg19 and bert-large).
+  for (const char* system :
+       {"byteps", "byteps-cpu", "byteps-cpu-simd", "byteps-oss", "hipress-ps",
+        "hipress-ring", "hipress-tree"}) {
+    for (const char* model : {"resnet50", "vgg19", "bert-large"}) {
+      for (const int nodes : {4, 16}) {
+        const std::string label =
+            StrFormat("%s %s n=%d", system, model, nodes);
+        ClusterJobsOptions options;
+        options.cluster = ClusterSpec::Ec2(nodes);
+        ClusterJobSpec spec;
+        spec.model = model;
+        spec.system = system;
+        spec.iterations = 3;
+        options.jobs.push_back(spec);
+        auto solo = RunClusterJobs(options);
+        ASSERT_TRUE(solo.ok()) << label << ": " << solo.status();
 
-    auto profile = GetModelProfile(spec.model);
-    ASSERT_TRUE(profile.ok());
-    auto config = MakeSystemConfig(system, options.cluster);
-    ASSERT_TRUE(config.ok());
-    TrainOptions train;
-    train.iterations = spec.iterations;
-    auto single = SimulateTraining(*profile, *config, train);
-    ASSERT_TRUE(single.ok()) << system << ": " << single.status();
+        auto profile = GetModelProfile(spec.model);
+        ASSERT_TRUE(profile.ok());
+        auto config = MakeSystemConfig(system, options.cluster);
+        ASSERT_TRUE(config.ok()) << label;
+        TrainOptions train;
+        train.iterations = spec.iterations;
+        auto single = SimulateTraining(*profile, *config, train);
+        ASSERT_TRUE(single.ok()) << label << ": " << single.status();
 
-    const ClusterJobReport& job = solo->jobs[0];
-    ASSERT_EQ(job.iteration_end.size(), single->steps.size()) << system;
-    SimTime start = 0;
-    for (size_t i = 0; i < job.iteration_end.size(); ++i) {
-      EXPECT_EQ(ToMillis(job.iteration_end[i] - start),
-                single->steps[i].iteration_ms)
-          << system << " iteration " << i;
-      start = job.iteration_end[i];
+        const ClusterJobReport& job = solo->jobs[0];
+        ASSERT_EQ(job.iteration_end.size(), single->steps.size()) << label;
+        SimTime start = 0;
+        for (size_t i = 0; i < job.iteration_end.size(); ++i) {
+          EXPECT_EQ(ToMillis(job.iteration_end[i] - start),
+                    single->steps[i].iteration_ms)
+              << label << " iteration " << i;
+          start = job.iteration_end[i];
+        }
+        EXPECT_EQ(job.iteration_time, single->iteration_time) << label;
+        EXPECT_EQ(job.compute_time, single->compute_time) << label;
+      }
     }
-    EXPECT_EQ(job.iteration_time, single->iteration_time) << system;
-    EXPECT_EQ(job.compute_time, single->compute_time) << system;
   }
 }
 

@@ -441,7 +441,7 @@ TEST(BuilderTest, AppendSyncTasksOverRemapsOntoSurvivors) {
   GradientSync gradient;
   gradient.bytes = 1 * kMiB;
   gradient.compress = true;
-  gradient.partitions = 4;  // clamped to the 3 survivors
+  gradient.partitions = 4;  // more partitions than survivors, kept as is
   gradient.rate = 1.0 / 32;
   const std::vector<int> survivors = {0, 2, 3};
   TaskGraph graph;
@@ -463,10 +463,8 @@ TEST(BuilderTest, AppendSyncTasksOverRemapsOntoSurvivors) {
   // Structure matches a 3-node build of the same plan (modulo renaming).
   SyncConfig shrunk = config;
   shrunk.num_nodes = 3;
-  GradientSync clamped = gradient;
-  clamped.partitions = 3;
   TaskGraph reference;
-  AppendSyncTasks(shrunk, clamped, &reference);
+  AppendSyncTasks(shrunk, gradient, &reference);
   EXPECT_EQ(graph.size(), reference.size());
 }
 

@@ -387,6 +387,38 @@ TEST(TrainerMembershipTest, StandbyJoinGrowsTheViewAndResyncs) {
             churn_free->report.membership.model_fingerprint);
 }
 
+TEST(TrainerMembershipTest, JoinResyncTimeIsTheDonorTransfersSendToAck) {
+  // The boundary resumes when the donor sees the re-sync's ack, so the
+  // re-sync time is the transfer's own send-to-ack time on the idle
+  // fabric. The channel's retransmit timer, which fires later as a no-op,
+  // is not part of it.
+  auto result =
+      RunTrainingSimulation(TrainOptionsFor("standby=3,join=3@60", 4));
+  ASSERT_TRUE(result.ok()) << result.status();
+  const MembershipReport& membership = result->report.membership;
+  ASSERT_EQ(membership.resyncs, 1u);
+
+  // The same transfer alone: donor 0 streams the whole model to node 3.
+  Simulator sim;
+  Network net(&sim, 4, result->config.net);
+  ReliableChannel channel(&sim, &net, result->config.reliable);
+  NetMessage message;
+  message.src = 0;
+  message.dst = 3;
+  message.bytes = membership.resync_bytes;
+  SimTime acked = -1;
+  channel.Send(std::move(message), [&](const Status& status) {
+    EXPECT_TRUE(status.ok()) << status;
+    acked = sim.now();
+  });
+  sim.Run();
+  ASSERT_GT(acked, 0);
+  EXPECT_EQ(membership.resync_time, acked);
+  EXPECT_DOUBLE_EQ(
+      result->report.metrics->histogram("membership.resync_ms").sum(),
+      ToMillis(acked));
+}
+
 TEST(TrainerMembershipTest, CrashRejoinRestoresFullStrength) {
   auto result =
       RunTrainingSimulation(TrainOptionsFor("crash=2@60,rejoin=2@400", 8));

@@ -306,7 +306,7 @@ TEST(TrainerObservabilityTest, HealthyRunReportsCleanBlackBox) {
   EXPECT_EQ(report.health.evaluations, 3u);
   EXPECT_TRUE(report.health.healthy());
   EXPECT_GT(report.metrics->gauge("fr.events_recorded").value(), 0.0);
-  EXPECT_DOUBLE_EQ(report.metrics->gauge("health.rules").value(), 5.0);
+  EXPECT_DOUBLE_EQ(report.metrics->gauge("health.rules").value(), 4.0);
   EXPECT_DOUBLE_EQ(report.metrics->gauge("health.tripped_at_end").value(),
                    0.0);
 }

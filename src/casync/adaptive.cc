@@ -7,12 +7,36 @@
 #include "src/common/string_util.h"
 
 namespace hipress {
+namespace {
+
+// Watermarks on the send share of the iteration's critical path. The gap
+// between them is the first hysteresis band: tightening arms above
+// kSendShareHigh, relaxing arms below kSendShareLow, and the region in
+// between never triggers.
+constexpr double kSendShareHigh = 0.45;
+constexpr double kSendShareLow = 0.15;
+// Consecutive iterations a watermark must stay breached before the
+// controller acts (absorbs one-iteration noise spikes).
+constexpr int kTriggerIterations = 2;
+// Iterations after any decision during which no new decision arms.
+constexpr int kCooldownIterations = 2;
+// Minimum relative distance between the observed bandwidth and the
+// bandwidth the active plan was priced with; re-planning on smaller drift
+// would churn plans for sub-noise gains.
+constexpr double kMinBandwidthChange = 0.2;
+// Send samples required in the iteration window before the bandwidth
+// estimate is trusted (an almost-empty window fits garbage).
+constexpr uint64_t kMinSendSamples = 4;
+// Floor on the bandwidth estimate, as a fraction of the configured link
+// bandwidth (guards the planner against degenerate early fits).
+constexpr double kMinBandwidthFraction = 0.02;
+
+}  // namespace
 
 AdaptiveController::AdaptiveController(
     const SyncConfig& config, const AdaptiveOptions& options,
     std::vector<uint64_t> unit_bytes, std::vector<AdaptiveCodecOption> codecs)
     : config_(config),
-      options_(options),
       unit_bytes_(std::move(unit_bytes)),
       codecs_(std::move(codecs)) {
   CHECK(config_.compression && config_.secopa)
@@ -101,38 +125,37 @@ AdaptiveDecision AdaptiveController::Observe(int iteration,
   const CostSampleStats snapshot = auditor.Snapshot(CostPrimitive::kSend);
   const CostSampleStats window = snapshot.Since(last_send_snapshot_);
   last_send_snapshot_ = snapshot;
-  if (window.count >= options_.min_send_samples) {
+  if (window.count >= kMinSendSamples) {
     KernelCost fitted;
     double estimate = window.Fit(&fitted) ? fitted.bytes_per_second
                                           : window.MeanThroughput();
     if (estimate > 0) {
       estimate_bps_ =
-          std::clamp(estimate, options_.min_bandwidth_fraction * nominal_bps_,
+          std::clamp(estimate, kMinBandwidthFraction * nominal_bps_,
                      nominal_bps_);
     }
   }
   decision.observed_gbps = estimate_bps_ * 8.0 / 1e9;
 
   // Hysteresis: both the share watermark and the bandwidth delta must
-  // agree, in the same direction, for `trigger_iterations` in a row.
+  // agree, in the same direction, for kTriggerIterations in a row.
   const bool wire_slow =
-      estimate_bps_ <= planned_bps_ * (1.0 - options_.min_bandwidth_change);
+      estimate_bps_ <= planned_bps_ * (1.0 - kMinBandwidthChange);
   const bool wire_fast =
-      estimate_bps_ >= planned_bps_ * (1.0 + options_.min_bandwidth_change);
-  tighten_streak_ =
-      (decision.send_share >= options_.send_share_high && wire_slow)
-          ? tighten_streak_ + 1
-          : 0;
-  relax_streak_ = (decision.send_share <= options_.send_share_low && wire_fast)
+      estimate_bps_ >= planned_bps_ * (1.0 + kMinBandwidthChange);
+  tighten_streak_ = (decision.send_share >= kSendShareHigh && wire_slow)
+                        ? tighten_streak_ + 1
+                        : 0;
+  relax_streak_ = (decision.send_share <= kSendShareLow && wire_fast)
                       ? relax_streak_ + 1
                       : 0;
 
   if (cooldown_left_ > 0) {
     --cooldown_left_;
     decision.reason = "cooldown";
-  } else if (tighten_streak_ >= options_.trigger_iterations ||
-             relax_streak_ >= options_.trigger_iterations) {
-    const bool tighten = tighten_streak_ >= options_.trigger_iterations;
+  } else if (tighten_streak_ >= kTriggerIterations ||
+             relax_streak_ >= kTriggerIterations) {
+    const bool tighten = tighten_streak_ >= kTriggerIterations;
     const double target_bps = estimate_bps_;
     // Reprice the whole ladder at the observed bandwidth and take the
     // cheapest rung; ties keep the lower index (deterministic).
@@ -158,7 +181,7 @@ AdaptiveDecision AdaptiveController::Observe(int iteration,
         decision.observed_gbps, tighten ? tighten_streak_ : relax_streak_);
     // Every trigger starts a cooldown — including no-op re-pricings, so a
     // boundary-riding signal cannot re-evaluate the ladder every iteration.
-    cooldown_left_ = options_.cooldown_iterations;
+    cooldown_left_ = kCooldownIterations;
     tighten_streak_ = 0;
     relax_streak_ = 0;
     if (decision.replanned) {

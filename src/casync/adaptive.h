@@ -17,7 +17,7 @@
 //
 // When both agree the wire degraded (send share above the high watermark
 // AND the bandwidth estimate well below what the active plan was priced
-// with) for `trigger_iterations` consecutive iterations, the controller
+// with) for kTriggerIterations consecutive iterations, the controller
 // re-plans: every gradient is repriced through the SeCoPaPlanner re-plan
 // path (WithBandwidth/WithCodec) at the observed bandwidth, across a
 // candidate codec ladder — switching codec, compression ratio and the
@@ -63,27 +63,6 @@ struct AdaptiveCodecOption {
 
 struct AdaptiveOptions {
   bool enabled = false;
-  // Watermarks on the send share of the iteration's critical path. The gap
-  // between them is the first hysteresis band: tightening arms above
-  // `send_share_high`, relaxing arms below `send_share_low`, and the region
-  // in between never triggers.
-  double send_share_high = 0.45;
-  double send_share_low = 0.15;
-  // Consecutive iterations a watermark must stay breached before the
-  // controller acts (absorbs one-iteration noise spikes).
-  int trigger_iterations = 2;
-  // Iterations after any decision during which no new decision arms.
-  int cooldown_iterations = 2;
-  // Minimum relative distance between the observed bandwidth and the
-  // bandwidth the active plan was priced with; re-planning on smaller
-  // drift would churn plans for sub-noise gains.
-  double min_bandwidth_change = 0.2;
-  // Send samples required in the iteration window before the bandwidth
-  // estimate is trusted (an almost-empty window fits garbage).
-  uint64_t min_send_samples = 4;
-  // Floor on the bandwidth estimate, as a fraction of the configured link
-  // bandwidth (guards the planner against degenerate early fits).
-  double min_bandwidth_fraction = 0.02;
   // Additional codec-ladder rungs by registry name (the configured codec
   // is always rung 0). Resolved by the trainer; unknown names error.
   std::vector<std::string> candidate_algorithms;
@@ -122,7 +101,8 @@ class AdaptiveController {
   // `config` must have compression + SeCoPa enabled (the controller's
   // levers are the SeCoPa cutoffs). `unit_bytes` lists the sync units in
   // launch order; `codecs` is the candidate ladder, rung 0 the configured
-  // codec the initial plan uses.
+  // codec the initial plan uses. The controller reads nothing from
+  // `options`: the caller resolves `enabled` and the ladder.
   AdaptiveController(const SyncConfig& config, const AdaptiveOptions& options,
                      std::vector<uint64_t> unit_bytes,
                      std::vector<AdaptiveCodecOption> codecs);
@@ -179,7 +159,6 @@ class AdaptiveController {
   SimTime TotalPlannedCost(const SeCoPaPlanner& planner) const;
 
   SyncConfig config_;
-  AdaptiveOptions options_;
   std::vector<uint64_t> unit_bytes_;
   std::vector<AdaptiveCodecOption> codecs_;
   size_t active_codec_ = 0;

@@ -69,10 +69,6 @@ struct SyncConfig {
   // BytePS-style partition size for PS strategies when SeCoPa is off.
   uint64_t ps_partition_bytes = 4 * kMiB;
 
-  // --- bulk coordinator tuning -------------------------------------------
-  uint64_t bulk_size_threshold = 8 * kMiB;
-  SimTime bulk_timeout = FromMicros(150.0);
-
   // --- fault tolerance ----------------------------------------------------
   // Sync-path transfers go through the ack/retry/backoff ReliableChannel
   // (docs/FAULT_TOLERANCE.md) whenever fault injection is configured

@@ -1,6 +1,5 @@
 #include "src/casync/engine.h"
 
-#include <algorithm>
 #include <functional>
 #include <span>
 #include <utility>
@@ -10,6 +9,12 @@
 
 namespace hipress {
 namespace {
+
+// Bulk coordinator flush triggers (§3.2, whichever is met first): queued
+// bytes reach the size threshold, or the timeout passes after the first
+// enqueue into an empty queue.
+constexpr uint64_t kBulkSizeThreshold = 8 * kMiB;
+constexpr SimTime kBulkTimeout = FromMicros(150.0);
 
 // The network message for a send task. A real-data send (non-null `data`)
 // hands over its payload, and the returned hook (empty for timing-only
@@ -95,10 +100,8 @@ CaSyncEngine::CaSyncEngine(Simulator* sim, Network* net,
       "engine.send_bytes", HistogramBuckets::DefaultBytes()));
   if (config_.bulk) {
     coordinator_ = std::make_unique<BulkCoordinator>(
-        sim_, net_, config_.bulk_size_threshold, config_.bulk_timeout,
-        metrics_, spans);
+        sim_, net_, kBulkSizeThreshold, kBulkTimeout, metrics_, spans);
   }
-  node_failed_.assign(gpus_.size(), false);
   graphs_cancelled_ = &metrics_->counter("engine.graphs_cancelled");
   if (config_.net.faults.any()) {
     reliable_ = std::make_unique<ReliableChannel>(sim_, net_, config_.reliable,
@@ -166,17 +169,15 @@ void CaSyncEngine::ReviveNode(int node) {
   CHECK(Idle()) << "rejoin with task graphs in flight: active graphs were "
                    "built over the pre-rejoin membership";
   CHECK_GE(node, 0);
-  CHECK_LT(node, static_cast<int>(node_failed_.size()));
-  if (!node_failed_[node]) {
-    return;
-  }
-  node_failed_[node] = false;
-  failed_nodes_.erase(
-      std::remove(failed_nodes_.begin(), failed_nodes_.end(), node),
-      failed_nodes_.end());
+  CHECK_LT(node, static_cast<int>(gpus_.size()));
   if (reliable_ != nullptr) {
     reliable_->ReinstatePeer(node);
   }
+}
+
+const std::vector<int>& CaSyncEngine::failed_nodes() const {
+  static const std::vector<int> kNone;
+  return reliable_ != nullptr ? reliable_->failed_peers() : kNone;
 }
 
 EngineStats CaSyncEngine::stats() const {
@@ -210,10 +211,10 @@ void CaSyncEngine::Execute(TaskGraph* graph,
   }
   // A graph that talks to an already-failed node can never complete; fail
   // it up front so the caller rebuilds over the survivors immediately.
-  if (!failed_nodes_.empty()) {
+  if (!failed_nodes().empty()) {
     for (const TaskRecord& task : graph->tasks()) {
-      const bool dead_node = task.node >= 0 && node_failed_[task.node];
-      const bool dead_peer = task.peer >= 0 && node_failed_[task.peer];
+      const bool dead_node = task.node >= 0 && node_failed(task.node);
+      const bool dead_peer = task.peer >= 0 && node_failed(task.peer);
       if (dead_node || dead_peer) {
         graphs_cancelled_->Increment();
         if (on_done) {
@@ -530,11 +531,6 @@ void CaSyncEngine::FireDone(RunningGraph* running, const Status& status) {
 }
 
 void CaSyncEngine::OnPeerFailure(int peer) {
-  if (node_failed_[peer]) {
-    return;
-  }
-  node_failed_[peer] = true;
-  failed_nodes_.push_back(peer);
   LOG(Warning) << "peer " << peer
                << " declared failed; cancelling its in-flight task graphs";
   // Cancel every running graph that communicates with the dead node; the

@@ -87,9 +87,12 @@ class CaSyncEngine {
   // Non-null when fault injection or reliable transport is configured.
   ReliableChannel* reliable_channel() { return reliable_.get(); }
 
-  // Nodes declared failed by the reliable transport, in detection order.
-  const std::vector<int>& failed_nodes() const { return failed_nodes_; }
-  bool node_failed(int node) const { return node_failed_[node]; }
+  // Nodes declared failed by the reliable transport, in detection order;
+  // none without a transport. Read from the channel, which owns the marks.
+  const std::vector<int>& failed_nodes() const;
+  bool node_failed(int node) const {
+    return reliable_ != nullptr && reliable_->peer_failed(node);
+  }
 
   // Clears the failed mark on `node` — the crash-rejoin path: the
   // membership layer re-admits the node at an iteration boundary after its
@@ -215,8 +218,6 @@ class CaSyncEngine {
   RunningGraph* active_tail_ = nullptr;
   // Execute's root snapshot, kept between calls so it stops allocating.
   std::vector<TaskId> roots_buffer_;
-  std::vector<bool> node_failed_;
-  std::vector<int> failed_nodes_;
   CostModelAuditor auditor_;
   Counter* graphs_cancelled_ = nullptr;
   PrimitiveTally encode_;

@@ -9,6 +9,14 @@
 
 namespace hipress {
 
+// SplitMix64's output finalizer, a bijective 64-bit mix: Rng's seeding,
+// FaultUniform and HashUniform all draw through it.
+inline uint64_t SplitMix64Mix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);

@@ -6,6 +6,13 @@
 #include "src/common/metrics.h"
 
 namespace hipress {
+namespace {
+
+// Every hub series aggregates 50 ms windows and keeps the latest 64.
+constexpr SimTime kHubWindowWidth = 50 * kMillisecond;
+constexpr size_t kHubNumWindows = 64;
+
+}  // namespace
 
 WindowedSeries::WindowedSeries(std::string name, SimTime window_width,
                                size_t num_windows)
@@ -97,10 +104,7 @@ double WindowedSeries::RollingMedianBefore(size_t n) const {
   return 0.5 * (means[mid - 1] + means[mid]);
 }
 
-TimeSeriesHub::TimeSeriesHub(Options options) : options_(options) {
-  CHECK_GT(options_.window_width, 0);
-  CHECK_GT(options_.num_windows, 0u);
-}
+SimTime TimeSeriesHub::window_width() { return kHubWindowWidth; }
 
 WindowedSeries& TimeSeriesHub::Series(const std::string& name) {
   for (const auto& series : series_) {
@@ -109,7 +113,7 @@ WindowedSeries& TimeSeriesHub::Series(const std::string& name) {
     }
   }
   series_.push_back(std::make_unique<WindowedSeries>(
-      name, options_.window_width, options_.num_windows));
+      name, kHubWindowWidth, kHubNumWindows));
   return *series_.back();
 }
 

@@ -91,13 +91,7 @@ class WindowedSeries {
 // Owns a run's series and their registry attachments.
 class TimeSeriesHub {
  public:
-  struct Options {
-    SimTime window_width = 50 * kMillisecond;
-    size_t num_windows = 64;
-  };
-
-  TimeSeriesHub() : TimeSeriesHub(Options()) {}
-  explicit TimeSeriesHub(Options options);
+  TimeSeriesHub() = default;
   TimeSeriesHub(const TimeSeriesHub&) = delete;
   TimeSeriesHub& operator=(const TimeSeriesHub&) = delete;
 
@@ -116,7 +110,8 @@ class TimeSeriesHub {
   void SampleAll(SimTime now);
 
   std::vector<const WindowedSeries*> AllSeries() const;
-  SimTime window_width() const { return options_.window_width; }
+  // Window width of every series the hub creates.
+  static SimTime window_width();
 
  private:
   struct Attachment {
@@ -126,7 +121,6 @@ class TimeSeriesHub {
     uint64_t last_counter = 0;
   };
 
-  Options options_;
   std::vector<std::unique_ptr<WindowedSeries>> series_;
   std::vector<Attachment> attachments_;
 };

@@ -8,6 +8,14 @@
 #include "src/common/string_util.h"
 
 namespace hipress {
+namespace {
+
+// Hysteresis shared by every rule: consecutive violating evaluations
+// before a rule trips, and consecutive healthy ones before it clears.
+constexpr int kTripAfter = 2;
+constexpr int kClearAfter = 2;
+
+}  // namespace
 
 std::string HealthReport::Summary() const {
   if (!enabled) {
@@ -52,20 +60,18 @@ std::vector<HealthRule> HealthMonitor::DefaultTrainerRules() {
   // Iteration-progress stall: the newest iteration took 3x the rolling
   // median — a straggler, a retry stall or a scheduler pathology.
   rules.push_back(HealthRule{"stall", "train.iteration_ms",
-                             HealthRuleKind::kAboveMedianFactor, 3.0, 3, 2,
-                             2});
+                             HealthRuleKind::kAboveMedianFactor, 3.0, 3});
   // Send-bandwidth collapse: measured send throughput fell below 40% of
   // its rolling median (link degradation, retry storms eating the wire).
   rules.push_back(HealthRule{"bw_collapse", "net.send_gbps",
-                             HealthRuleKind::kBelowMedianFraction, 0.4, 3, 2,
-                             2});
+                             HealthRuleKind::kBelowMedianFraction, 0.4, 3});
   // Retry storm: more than 64 transport retries within one iteration.
   rules.push_back(HealthRule{"retry_storm", "net.retries",
-                             HealthRuleKind::kAboveValue, 64.0, 0, 2, 2});
+                             HealthRuleKind::kAboveValue, 64.0, 0});
   // Steady-state pool-miss growth: the wire pool must stop allocating once
   // warm (min_history skips the warm-up iterations).
   rules.push_back(HealthRule{"pool_miss_growth", "net.pool_misses",
-                             HealthRuleKind::kAboveValue, 0.0, 3, 2, 2});
+                             HealthRuleKind::kAboveValue, 0.0, 3});
   return rules;
 }
 
@@ -123,7 +129,7 @@ void HealthMonitor::Evaluate(SimTime now) {
       ++state.healthy_streak;
       state.violation_streak = 0;
     }
-    if (!state.tripped && state.violation_streak >= state.rule.trip_after) {
+    if (!state.tripped && state.violation_streak >= kTripAfter) {
       state.tripped = true;
       state.open_trip = static_cast<int>(report_.trips.size());
       report_.trips.push_back(
@@ -145,7 +151,7 @@ void HealthMonitor::Evaluate(SimTime now) {
         on_trip_(state.rule);
       }
     } else if (state.tripped &&
-               state.healthy_streak >= state.rule.clear_after) {
+               state.healthy_streak >= kClearAfter) {
       state.tripped = false;
       report_.trips[state.open_trip].cleared_at = now;
       state.open_trip = -1;

@@ -5,14 +5,15 @@
 // iteration time far above the rolling median), a send-bandwidth collapse
 // (measured gbps far below its rolling median), a retry storm, steady-state
 // buffer-pool miss growth, and scheduler queue-depth blowup. A rule trips
-// after `trip_after` consecutive violating evaluations and clears after
-// `clear_after` healthy ones — hysteresis so a single straggler iteration
-// does not page. Trips emit flight-recorder events, bump health.* metrics,
-// optionally trigger a black-box dump, and accumulate into the HealthReport
-// that TrainReport/ClusterRunReport carry and `train_cluster` summarizes
-// (non-zero exit with --health-exit when a rule is still tripped at the
-// end). Evaluation is driven purely by sim time and the deterministic
-// series, so trips replay bit-identically for a fixed seed.
+// after kTripAfter (2) consecutive violating evaluations and clears after
+// kClearAfter (2) healthy ones (watchdog.cc) — hysteresis so a single
+// straggler iteration does not page. Trips emit flight-recorder events,
+// bump health.* metrics, optionally trigger a black-box dump, and
+// accumulate into the HealthReport that TrainReport/ClusterRunReport carry
+// and `train_cluster` summarizes (non-zero exit with --health-exit when a
+// rule is still tripped at the end). Evaluation is driven purely by sim
+// time and the deterministic series, so trips replay bit-identically for
+// a fixed seed.
 #ifndef HIPRESS_SRC_COMMON_WATCHDOG_H_
 #define HIPRESS_SRC_COMMON_WATCHDOG_H_
 
@@ -35,7 +36,6 @@ class MetricsRegistry;
 // off only for the recorder-off arm of that A/B.
 struct ObservabilityOptions {
   bool flight_recorder = true;
-  size_t flight_events_per_node = 256;
   // Dump destination for TriggerDump (fatal path, retry-budget exhaustion,
   // watchdog trips, end-of-run). train_cluster --flight-record=FILE.
   // Empty: record to the rings but never write a file.
@@ -60,8 +60,6 @@ struct HealthRule {
   // Median-relative rules arm only once this many prior windows carry
   // samples, so warm-up cannot trip them.
   size_t min_history = 3;
-  int trip_after = 2;   // consecutive violations before tripping
-  int clear_after = 2;  // consecutive healthy evaluations before clearing
 };
 
 // One trip episode: [tripped_at, cleared_at), cleared_at < 0 while open.

@@ -1,6 +1,7 @@
 #include "src/compress/compressor.h"
 
 #include "src/common/buffer_pool.h"
+#include "src/common/rng.h"
 
 namespace hipress {
 
@@ -37,11 +38,7 @@ Status Compressor::DecodeAdd(const ByteBuffer& in,
 }
 
 float HashUniform(uint64_t seed, uint64_t index) {
-  // SplitMix64-style finalizer over (seed ^ index-mix).
-  uint64_t z = seed + index * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const uint64_t z = SplitMix64Mix(seed + index * 0x9e3779b97f4a7c15ULL);
   return static_cast<float>(z >> 40) * 0x1.0p-24f;
 }
 

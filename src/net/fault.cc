@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "src/common/rng.h"
 #include "src/common/string_util.h"
 
 namespace hipress {
@@ -65,14 +66,16 @@ double FaultConfig::DegradationFactor(int src, int dst, SimTime when) const {
 }
 
 double FaultUniform(uint64_t seed, uint64_t ordinal) {
-  uint64_t z = seed + (ordinal + 1) * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const uint64_t z =
+      SplitMix64Mix(seed + (ordinal + 1) * 0x9e3779b97f4a7c15ULL);
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
 namespace {
+
+// Every chaos degradation window cuts its link to 35% bandwidth for 30 ms.
+constexpr double kChaosDegradeFactor = 0.35;
+constexpr double kChaosDegradeDurationMs = 30.0;
 
 // Parses an endpoint that is either an integer or the '*' wildcard (-1).
 StatusOr<int> ParseEndpoint(const std::string& text) {
@@ -392,8 +395,8 @@ FaultConfig MakeChaosSchedule(const ChaosOptions& options) {
         window.src = src;
         window.dst = dst;
         window.start = FromMillis(now_ms);
-        window.end = FromMillis(now_ms + options.degrade_duration_ms);
-        window.bandwidth_factor = options.degrade_factor;
+        window.end = FromMillis(now_ms + kChaosDegradeDurationMs);
+        window.bandwidth_factor = kChaosDegradeFactor;
         config.degradations.push_back(window);
         break;
       }

@@ -122,8 +122,6 @@ struct ChaosOptions {
   double first_event_ms = 40.0;
   double spacing_ms = 60.0;  // nominal gap between events (jittered)
   double drop_prob = 0.0;    // optional background loss
-  double degrade_factor = 0.35;
-  double degrade_duration_ms = 30.0;
 };
 
 // Static feasibility walk over the crash + membership schedule of a

@@ -8,6 +8,9 @@
 namespace hipress {
 namespace {
 
+// Seed of the bandwidth-jitter draws (NetworkConfig::bandwidth_jitter).
+constexpr uint64_t kJitterSeed = 0x71773;
+
 // Per-message jitter stream id: a hash of the flow identity (src, dst, tag)
 // and a per-sender sequence number. Mixing the flow identity in keeps
 // concurrent jobs on disjoint senders drawing independent streams — one
@@ -134,7 +137,7 @@ void Network::Send(NetMessage message,
     const uint64_t ordinal =
         JitterOrdinal(message.src, message.dst, message.tag,
                       jitter_seq_[message.src]++);
-    const double uniform = FaultUniform(config_.jitter_seed, ordinal);
+    const double uniform = FaultUniform(kJitterSeed, ordinal);
     serialize = static_cast<SimTime>(
         static_cast<double>(serialize) *
         (1.0 + config_.bandwidth_jitter * uniform));

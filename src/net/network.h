@@ -45,7 +45,6 @@ struct NetworkConfig {
   // Models the interference the paper's cost-model future work worries
   // about; 0 disables.
   double bandwidth_jitter = 0.0;
-  uint64_t jitter_seed = 0x71773;
   // Deterministic fault injection (drops, degradation windows, crashes);
   // defaults to a perfect network. See src/net/fault.h.
   FaultConfig faults;
@@ -57,7 +56,7 @@ struct NetworkConfig {
   // among its rack's hosts. Both collapse to the flat values under kFlat.
   SimTime path_latency() const {
     if (topology.kind == TopologyKind::kFatTree) {
-      return latency + 2 * topology.tor_hop_latency;
+      return latency + 2 * kTorHopLatency;
     }
     return latency;
   }

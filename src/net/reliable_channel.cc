@@ -6,6 +6,17 @@
 #include "src/common/string_util.h"
 
 namespace hipress {
+namespace {
+
+// Wire size of an acknowledgement message.
+constexpr uint64_t kAckBytes = 64;
+// Per-attempt timeout: factor * (uncontended data + ack time) + current
+// endpoint backlog + slack. The backlog term keeps honest congestion from
+// masquerading as loss.
+constexpr double kTimeoutFactor = 3.0;
+constexpr SimTime kTimeoutSlack = FromMicros(100.0);
+
+}  // namespace
 
 ReliableChannel::ReliableChannel(Simulator* sim, Network* net,
                                  ReliableTransportConfig config,
@@ -15,8 +26,13 @@ ReliableChannel::ReliableChannel(Simulator* sim, Network* net,
       net_(net),
       config_(config),
       spans_(spans),
+      flight_(net->flight_recorder()),
       publish_hook_(sim, [this] { PublishMetrics(); }) {
   peer_failed_.assign(static_cast<size_t>(net->num_nodes()), false);
+  if (flight_ != nullptr) {
+    ev_retry_ = flight_->Intern("net.retry");
+    ev_exhausted_ = flight_->Intern("net.retry_exhausted");
+  }
   if (metrics != nullptr) {
     auto counter = [metrics](const char* name) {
       return CounterPublisher(&metrics->counter(name));
@@ -45,7 +61,7 @@ void ReliableChannel::PublishMetrics() {
 
 SimTime ReliableChannel::AttemptTimeout(const NetMessage& message) const {
   const SimTime round_trip = net_->UncontendedSendTime(message.bytes) +
-                             net_->UncontendedSendTime(config_.ack_bytes);
+                             net_->UncontendedSendTime(kAckBytes);
   // Both directions' visible backlog: the data message queues behind
   // src->dst, and the ack will queue behind the receiver's own sends on
   // the reverse path (bulk traffic there otherwise triggers spurious
@@ -55,9 +71,9 @@ SimTime ReliableChannel::AttemptTimeout(const NetMessage& message) const {
           0, net_->EarliestStart(message.src, message.dst) - sim_->now()) +
       std::max<SimTime>(
           0, net_->EarliestStart(message.dst, message.src) - sim_->now());
-  return static_cast<SimTime>(config_.timeout_factor *
+  return static_cast<SimTime>(kTimeoutFactor *
                               static_cast<double>(round_trip)) +
-         backlog + config_.timeout_slack;
+         backlog + kTimeoutSlack;
 }
 
 SimTime ReliableChannel::BackoffDelay(int attempt) const {
@@ -139,7 +155,7 @@ void ReliableChannel::Attempt(uint64_t id) {
     NetMessage ack;
     ack.src = delivered.dst;
     ack.dst = delivered.src;
-    ack.bytes = config_.ack_bytes;
+    ack.bytes = kAckBytes;
     ack.tag = delivered.tag;
     net_->Send(ack, [this, id](const NetMessage&) {
       auto ack_it = transfers_.find(id);

@@ -27,13 +27,6 @@
 namespace hipress {
 
 struct ReliableTransportConfig {
-  // Wire size of an acknowledgement message.
-  uint64_t ack_bytes = 64;
-  // Per-attempt timeout: factor * (uncontended data + ack time) + current
-  // endpoint backlog + slack. The backlog term keeps honest congestion from
-  // masquerading as loss.
-  double timeout_factor = 3.0;
-  SimTime timeout_slack = FromMicros(100.0);
   // Total attempts per transfer (first send + retries). Exhausting the
   // budget fails the transfer and marks the peer dead.
   int max_attempts = 5;
@@ -51,7 +44,9 @@ class ReliableChannel {
   // per-frame paths bump plain tallies, published into the registry when
   // the simulator's Run()/RunUntil() returns and when the channel is
   // destroyed (Simulator::PublishHook). `spans` (optional) records each
-  // backoff wait on the sender's "net:retry" lane.
+  // backoff wait on the sender's "net:retry" lane. Retries and budget
+  // exhaustion append events to the sender's ring of `net`'s flight
+  // recorder, when it has one, and exhaustion triggers a dump.
   ReliableChannel(Simulator* sim, Network* net, ReliableTransportConfig config,
                   MetricsRegistry* metrics = nullptr,
                   SpanCollector* spans = nullptr);
@@ -102,18 +97,6 @@ class ReliableChannel {
   uint64_t retries() const { return retries_; }
   uint64_t acks() const { return acks_; }
 
-  // Wires the always-on black box: retries and budget exhaustion append
-  // events to the sender's ring, and exhaustion triggers a dump — the
-  // recorder's tail then shows the doomed transfer's final retransmits
-  // (docs/OBSERVABILITY.md). Not owned; null disables.
-  void set_flight_recorder(FlightRecorder* recorder) {
-    flight_ = recorder;
-    if (flight_ != nullptr) {
-      ev_retry_ = flight_->Intern("net.retry");
-      ev_exhausted_ = flight_->Intern("net.retry_exhausted");
-    }
-  }
-
  private:
   struct Transfer {
     // Holds the payload shared_ptr for the transfer's whole lifetime;
@@ -146,7 +129,7 @@ class ReliableChannel {
   CounterPublisher budget_exhausted_metric_;
   CounterPublisher stale_epoch_metric_;
   LocalHistogram backoff_us_;
-  // Black-box event sink and interned ids (set_flight_recorder).
+  // The network's black box (null when it has none) and interned ids.
   FlightRecorder* flight_ = nullptr;
   uint16_t ev_retry_ = 0;
   uint16_t ev_exhausted_ = 0;

@@ -42,7 +42,6 @@ class FatTreeTopology : public Topology {
       : num_nodes_(num_nodes),
         hosts_per_tor_(std::max(1, config.hosts_per_tor)),
         oversubscription_(std::max(config.oversubscription, 1e-9)),
-        tor_hop_latency_(config.tor_hop_latency),
         endpoint_latency_(endpoint_latency) {
     num_tors_ = (num_nodes_ + hosts_per_tor_ - 1) / hosts_per_tor_;
     // A ToR uplink runs at hosts_per_tor / oversubscription times the host
@@ -73,8 +72,8 @@ class FatTreeTopology : public Topology {
     route->link[1] = 2 * num_nodes_ + src_tor;
     route->link[2] = 2 * num_nodes_ + num_tors_ + dst_tor;
     route->link[3] = num_nodes_ + dst;
-    route->hop_latency[1] = tor_hop_latency_;
-    route->hop_latency[2] = tor_hop_latency_;
+    route->hop_latency[1] = kTorHopLatency;
+    route->hop_latency[2] = kTorHopLatency;
     route->hop_latency[3] = endpoint_latency_;
     route->serialize_scale[0] = 1.0;
     route->serialize_scale[1] = fabric_scale_;
@@ -92,7 +91,6 @@ class FatTreeTopology : public Topology {
   int num_nodes_;
   int hosts_per_tor_;
   double oversubscription_;
-  SimTime tor_hop_latency_;
   SimTime endpoint_latency_;
   int num_tors_ = 0;
   double fabric_scale_ = 1.0;

@@ -44,11 +44,12 @@ struct TopologyConfig {
   // hosts_per_tor * host_bandwidth / oversubscription.
   int hosts_per_tor = 16;
   double oversubscription = 1.0;
-  // Extra one-way propagation per fabric hop (NIC->ToR handoff into the
-  // spine and back down); a cross-rack route adds two of these on top of
-  // the endpoint latency.
-  SimTime tor_hop_latency = FromMicros(1.0);
 };
+
+// Extra one-way propagation per fabric hop (NIC->ToR handoff into the
+// spine and back down); a cross-rack route adds two of these on top of the
+// endpoint latency.
+inline constexpr SimTime kTorHopLatency = FromMicros(1.0);
 
 // An ordered walk over directed links, filled allocation-free into caller
 // storage. Segment 0 is the sender's NIC uplink; the last segment is the

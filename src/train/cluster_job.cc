@@ -173,7 +173,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
         job->report.engine_metrics.get(), fabric.spans.get());
     job->sync = std::make_unique<JobSync>(
         &fabric, job->engine.get(), job->plan_config, &job->plan,
-        JobSync::Options{.launch_overhead = options.launch_overhead});
+        JobSync::Options{});
   }
 
   // -------------------------------------------------------------------

@@ -62,7 +62,6 @@ struct ClusterJobsOptions {
   ClusterSpec cluster;
   std::vector<ClusterJobSpec> jobs;
   JobPlacement placement = JobPlacement::kStriped;
-  SimTime launch_overhead = FromMicros(50.0);
   bool record_timeline = false;
   // Flight recorder + watchdog (docs/OBSERVABILITY.md). The recorder spans
   // the whole cluster (one ring per node); watchdog rules cover the shared

@@ -13,6 +13,9 @@
 namespace hipress {
 namespace {
 
+// Per-gradient sync launch overhead (framework negotiation/dispatch).
+constexpr SimTime kLaunchOverhead = FromMicros(50.0);
+
 // Intra-node aggregation across the node's `g` GPUs over NVLink/PCIe:
 // ring reduce-scatter + allgather inside the node.
 SimTime LocalAggregationTime(uint64_t bytes, const SyncConfig& config) {
@@ -256,7 +259,6 @@ Fabric::Fabric(int num_nodes, const NetworkConfig& net_config,
   if (observability.flight_recorder) {
     FlightRecorder::Options options;
     options.num_nodes = num_nodes;
-    options.events_per_node = observability.flight_events_per_node;
     options.dump_path = observability.flight_dump_path;
     flight = std::make_shared<FlightRecorder>(options);
     net.set_flight_recorder(flight.get());
@@ -364,7 +366,7 @@ void JobSync::Start(int iteration) {
         static_cast<SimTime>(
             static_cast<double>(plan_->forward + units[i].ready_offset) *
             stretch_) +
-        options_.launch_overhead;
+        kLaunchOverhead;
     const SimTime when = std::max(launch_at, sim_->now());
     if (config_.sequential_collectives) {
       Queued* queued = &queue_.emplace_back(Queued{

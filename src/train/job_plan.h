@@ -119,7 +119,6 @@ struct Fabric {
 class JobSync {
  public:
   struct Options {
-    SimTime launch_overhead = 0;
     // Node `straggler_node` computes `straggler_factor` times slower; its
     // shard gates every aggregation, so launches follow its timeline.
     int straggler_node = -1;

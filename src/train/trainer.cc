@@ -407,15 +407,11 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
   const uint16_t ev_iter_start = flight ? flight->Intern("iter.start") : 0;
   const uint16_t ev_iter_end = flight ? flight->Intern("iter.end") : 0;
   const uint16_t ev_recovery = flight ? flight->Intern("train.recovery") : 0;
-  if (flight && engine.reliable_channel() != nullptr) {
-    engine.reliable_channel()->set_flight_recorder(flight.get());
-  }
   // Straggler: its shard gates every gradient's aggregation, so sync
   // launches follow the slow node's timeline and the barrier waits for its
   // compute.
   JobSync sync(&fabric, &engine, config, &plan,
-               {.launch_overhead = options.launch_overhead,
-                .straggler_node = options.straggler_node,
+               {.straggler_node = options.straggler_node,
                 .straggler_factor = options.straggler_factor});
 
   TrainReport report;

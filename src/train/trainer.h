@@ -39,8 +39,6 @@ struct TrainOptions {
   // enabling the merged Perfetto export (WriteTrainReportTrace); the
   // node-0 timeline also feeds Figure 9.
   bool record_timeline = false;
-  // Per-gradient sync launch overhead (framework negotiation/dispatch).
-  SimTime launch_overhead = FromMicros(50.0);
   // Straggler injection: node `straggler_node` computes
   // `straggler_factor` times slower (its gradients — which every
   // aggregation needs — arrive late, stretching BSP and SSP iterations).

@@ -256,7 +256,7 @@ TEST(FatTreeTest, CrossRackAddsTorHopLatency) {
   // Non-oversubscribed fabric forwards cut-through at full rate, so the
   // route only adds the two ToR hop latencies.
   EXPECT_EQ(delivered, FromMicros(2) + FromMillis(1) + FromMicros(10) +
-                           2 * config.topology.tor_hop_latency);
+                           2 * kTorHopLatency);
 }
 
 TEST(FatTreeTest, OversubscribedFabricBoundsSingleFlow) {

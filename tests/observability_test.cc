@@ -6,6 +6,7 @@
 // reconstructs the failing node's last recorded events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -226,7 +227,7 @@ HealthReport RunRule(const HealthRule& rule,
 
 TEST(WatchdogTest, StallTripsAndClearsWithHysteresis) {
   HealthRule stall{"stall", "iter_ms", HealthRuleKind::kAboveMedianFactor,
-                   3.0, 3, 2, 2};
+                   3.0, 3};
   // A single slow window must NOT trip (trip_after = 2)...
   const HealthReport spike =
       RunRule(stall, {10, 10, 10, 10, 80, 10, 10, 10});
@@ -254,7 +255,7 @@ TEST(WatchdogTest, StallTripsAndClearsWithHysteresis) {
 
 TEST(WatchdogTest, StillTrippedAtEndIsUnhealthy) {
   HealthRule stall{"stall", "iter_ms", HealthRuleKind::kAboveMedianFactor,
-                   3.0, 3, 2, 2};
+                   3.0, 3};
   const HealthReport report =
       RunRule(stall, {10, 10, 10, 10, 80, 80, 80, 80});
   ASSERT_EQ(report.trips.size(), 1u);
@@ -270,7 +271,7 @@ TEST(WatchdogTest, AboveValueRuleArmsAfterMinHistory) {
   // min_history must gate absolute rules too: warm-up pool misses in the
   // first windows are expected and must not trip.
   HealthRule misses{"pool_miss_growth", "misses",
-                    HealthRuleKind::kAboveValue, 0.0, 3, 2, 2};
+                    HealthRuleKind::kAboveValue, 0.0, 3};
   EXPECT_TRUE(RunRule(misses, {50, 20, 0, 0, 0, 0}).trips.empty());
   const HealthReport late = RunRule(misses, {50, 20, 0, 0, 7, 7, 7});
   ASSERT_EQ(late.trips.size(), 1u);
@@ -279,7 +280,7 @@ TEST(WatchdogTest, AboveValueRuleArmsAfterMinHistory) {
 
 TEST(WatchdogTest, TripsReplayDeterministically) {
   HealthRule stall{"stall", "iter_ms", HealthRuleKind::kAboveMedianFactor,
-                   3.0, 3, 2, 2};
+                   3.0, 3};
   const std::vector<double> values = {10, 10, 10, 10, 80, 80, 10, 10, 10};
   const HealthReport a = RunRule(stall, values);
   const HealthReport b = RunRule(stall, values);
@@ -406,6 +407,34 @@ TEST(PostMortemTest, CrashDumpReconstructsFailingNodeTail) {
       DecodeDump(dump, "--node 0 --tail 1");
   ASSERT_EQ(node0.size(), 1u);
   EXPECT_NE(node0[0].find("fr.dump:end-of-run"), std::string::npos);
+}
+
+// A lossy multi-job run that loses a peer returns UNAVAILABLE before its
+// end-of-run dump, so the black box must already hold the retry-budget
+// exhaustion dump written by the job's transport through the shared
+// recorder.
+TEST(PostMortemTest, LossyMultiJobRunDumpsRetryExhaustion) {
+  if (!HavePython()) {
+    GTEST_SKIP() << "python3 unavailable";
+  }
+  const std::string dump = TempPath("multijob.hpfr");
+  std::remove(dump.c_str());
+  ClusterJobsOptions options;
+  options.cluster = ClusterSpec::Ec2(8);
+  auto faults = ParseFaultSpec("drop=0.2,seed=7");
+  ASSERT_TRUE(faults.ok()) << faults.status();
+  options.cluster.net.faults = *faults;
+  options.jobs.resize(2);
+  options.observability.flight_dump_path = dump;
+  auto run = RunClusterJobs(options);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kUnavailable) << run.status();
+  ASSERT_TRUE(std::ifstream(dump).good()) << "no dump at " << dump;
+  const std::vector<std::string> tail = DecodeDump(dump, "--tail 4");
+  EXPECT_TRUE(std::ranges::any_of(tail, [](const std::string& line) {
+    return line.find("\"type\": \"net.retry_exhausted\"") !=
+           std::string::npos;
+  }));
 }
 
 }  // namespace
